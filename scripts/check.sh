@@ -15,20 +15,17 @@ cd "$(dirname "$0")/.."
 BUILD_DIR=build-asan
 JOBS=$(nproc 2>/dev/null || echo 4)
 
-# Lint gate first: dpulint (the token-aware analyzer, DESIGN.md §14) plus
-# the Python-side checks run in seconds and catch whole bug classes
-# (wall-clock in the model, raw control-plane posts, dropped Status,
-# layering inversions, unhandled message kinds) before the expensive
-# sanitized build starts. The plain build/ tree is configured ONCE here and
-# reused for dpulint, lint-tidy, and the compile database — no
-# reconfiguring per stage.
+# Lint gate first: dpulint (the token-aware analyzer, DESIGN.md §14) runs
+# in seconds and catches whole bug classes (wall-clock in the model, raw
+# control-plane posts, dropped or un-[[nodiscard]] Status, layering
+# inversions) before the expensive sanitized build starts. The plain build/
+# tree is configured ONCE here and reused for dpulint, lint-tidy, and the
+# compile database — no reconfiguring per stage.
 echo "== lint gate =="
 cmake -B build -S . > /dev/null
 cmake --build build -t dpulint -j "$JOBS" > /dev/null
 build/tools/dpulint/dpulint --root . --self-test
 build/tools/dpulint/dpulint --root . --json-out build/dpulint.json
-python3 scripts/lint.py
-python3 scripts/lint.py --self-test
 if command -v clang-tidy > /dev/null 2>&1; then
   echo "== clang-tidy (curated checks) =="
   cmake --build build -t lint-tidy
@@ -41,7 +38,7 @@ cmake --build "$BUILD_DIR" -j "$JOBS"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 
 # The fault-injection suite is the one place drop/dup/delay recovery paths
-# (retransmit timers, dup suppression, envelope unwrap) execute; run it as
+# (retransmit timers, sequence headers, dup suppression) execute; run it as
 # its own sanitized pass so a fault-path memory bug can never hide behind a
 # sharded ctest summary.
 echo "== fault-injection suite (sanitized) =="
@@ -87,7 +84,7 @@ DPU_BENCH_FAST=1 "$BUILD_DIR"/bench/ablation_determinism > /dev/null
 
 # ThreadSanitizer pass over the sharded-execution suite: the ShardScheduler
 # worker pool is the one place real threads touch simulation state (enforced
-# by the scripts/lint.py `thread` rule), and ASan cannot see data races.
+# by the dpulint `thread` rule), and ASan cannot see data races.
 # Only the shard suite is built in tsan mode — a full second sanitized tree
 # would double the gate's cost for zero extra coverage.
 echo "== shard suite (ThreadSanitizer) =="

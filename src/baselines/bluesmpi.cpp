@@ -1,8 +1,8 @@
 #include "baselines/bluesmpi.h"
 
 #include <algorithm>
-#include <any>
 #include <utility>
+#include <variant>
 
 #include "common/check.h"
 #include "common/rng.h"
@@ -10,50 +10,6 @@
 namespace dpu::baselines {
 
 namespace {
-
-/// Descriptor: host -> its worker (one per collective call).
-struct A2ADesc {
-  std::uint64_t key = 0;
-  int host_rank = -1;
-  mpi::CommPtr comm;
-  std::size_t bpr = 0;
-  machine::Addr sbuf = 0;
-  verbs::RKey sbuf_rkey = 0;
-  machine::Addr rbuf = 0;
-  verbs::RKey rbuf_rkey = 0;
-  bool backed = false;
-  verbs::Completion flag;
-};
-
-struct BcastDesc {
-  std::uint64_t key = 0;
-  int host_rank = -1;
-  mpi::CommPtr comm;
-  std::size_t len = 0;
-  int root = 0;  // comm rank
-  machine::Addr buf = 0;
-  verbs::RKey buf_rkey = 0;
-  bool backed = false;
-  verbs::Completion flag;
-};
-
-/// Staged alltoall block moving worker -> worker (data rides the message;
-/// timing-equivalent to the RDMA write BluesMPI posts between staging
-/// buffers).
-struct BlockMsg {
-  std::uint64_t key = 0;
-  int dst_rank = -1;       // destination host (world rank)
-  int src_comm_rank = -1;  // block index at the destination
-  std::size_t bpr = 0;
-  std::vector<std::byte> data;
-};
-
-struct BcastDataMsg {
-  std::uint64_t key = 0;
-  int dst_rank = -1;  // destination host (world rank)
-  std::size_t len = 0;
-  std::vector<std::byte> data;
-};
 
 std::uint64_t arena_key(int host, std::uint64_t sig, std::size_t bytes) {
   std::uint64_t s = (static_cast<std::uint64_t>(host) << 40) ^ sig;
@@ -122,7 +78,7 @@ sim::Task<BluesReqPtr> BluesEndpoint::ialltoall(machine::Addr sbuf, machine::Add
   d.rbuf_rkey = rmr.rkey;
   d.backed = vctx.mem().backed(sbuf);
   d.flag = req->flag;
-  std::any body = std::move(d);
+  BluesWire body = std::move(d);
   co_await vctx.post_ctrl(rt_.spec().proxy_for_host(rank_), kBluesChannel, std::move(body),
                           0);
   co_return req;
@@ -144,7 +100,7 @@ sim::Task<BluesReqPtr> BluesEndpoint::ibcast(machine::Addr buf, std::size_t len,
   d.buf_rkey = mr.rkey;
   d.backed = vctx.mem().backed(buf);
   d.flag = req->flag;
-  std::any body = std::move(d);
+  BluesWire body = std::move(d);
   co_await vctx.post_ctrl(rt_.spec().proxy_for_host(rank_), kBluesChannel, std::move(body),
                           0);
   co_return req;
@@ -185,12 +141,12 @@ sim::Task<void> BluesWorker::run() {
   for (;;) {
     bool moved = false;
     while (auto m = box.try_recv()) {
-      co_await handle(std::move(*m));
+      co_await handle(std::move(m->body));
       moved = true;
     }
     // Retry blocks that arrived before their descriptor.
     if (!early_.empty()) {
-      std::deque<verbs::CtrlMsg> retry;
+      std::deque<BluesWire> retry;
       retry.swap(early_);
       const std::size_t before = retry.size();
       while (!retry.empty()) {
@@ -211,81 +167,87 @@ sim::Task<void> BluesWorker::run() {
   }
 }
 
-sim::Task<void> BluesWorker::handle(verbs::CtrlMsg msg) {
+sim::Task<void> BluesWorker::handle(BluesWire msg) {
   co_await rt_.engine().sleep(from_us(rt_.spec().cost.proxy_entry_us));
-  if (auto* d = std::any_cast<A2ADesc>(&msg.body)) {
-    auto job = std::make_unique<A2AJob>();
-    job->writes_done = std::make_shared<std::size_t>(0);
-    job->key = d->key;
-    job->backed = d->backed;
-    job->host_rank = d->host_rank;
-    job->comm = d->comm;
-    job->bpr = d->bpr;
-    job->sbuf = d->sbuf;
-    job->sbuf_rkey = d->sbuf_rkey;
-    job->rbuf = d->rbuf;
-    job->rbuf_rkey = d->rbuf_rkey;
-    job->flag = d->flag;
-    a2a_jobs_.push_back(std::move(job));
-  } else if (auto* d2 = std::any_cast<BcastDesc>(&msg.body)) {
-    auto job = std::make_unique<BcastJob>();
-    job->key = d2->key;
-    job->backed = d2->backed;
-    job->host_rank = d2->host_rank;
-    job->comm = d2->comm;
-    job->len = d2->len;
-    job->root = d2->root;
-    job->buf = d2->buf;
-    job->buf_rkey = d2->buf_rkey;
-    job->flag = d2->flag;
-    bcast_jobs_.push_back(std::move(job));
-  } else if (auto* blk = std::any_cast<BlockMsg>(&msg.body)) {
-    A2AJob* job = nullptr;
-    for (auto& j : a2a_jobs_) {
-      if (j->key == blk->key && j->host_rank == blk->dst_rank) {
-        job = j.get();
-        break;
-      }
+  co_await std::visit([this](auto& m) { return on(m); }, msg);
+}
+
+sim::Task<void> BluesWorker::on(A2ADesc& d) {
+  auto job = std::make_unique<A2AJob>();
+  job->writes_done = std::make_shared<std::size_t>(0);
+  job->key = d.key;
+  job->backed = d.backed;
+  job->host_rank = d.host_rank;
+  job->comm = d.comm;
+  job->bpr = d.bpr;
+  job->sbuf = d.sbuf;
+  job->sbuf_rkey = d.sbuf_rkey;
+  job->rbuf = d.rbuf;
+  job->rbuf_rkey = d.rbuf_rkey;
+  job->flag = d.flag;
+  a2a_jobs_.push_back(std::move(job));
+  co_return;
+}
+
+sim::Task<void> BluesWorker::on(BcastDesc& d) {
+  auto job = std::make_unique<BcastJob>();
+  job->key = d.key;
+  job->backed = d.backed;
+  job->host_rank = d.host_rank;
+  job->comm = d.comm;
+  job->len = d.len;
+  job->root = d.root;
+  job->buf = d.buf;
+  job->buf_rkey = d.buf_rkey;
+  job->flag = d.flag;
+  bcast_jobs_.push_back(std::move(job));
+  co_return;
+}
+
+sim::Task<void> BluesWorker::on(BlockMsg& blk) {
+  A2AJob* job = nullptr;
+  for (auto& j : a2a_jobs_) {
+    if (j->key == blk.key && j->host_rank == blk.dst_rank) {
+      job = j.get();
+      break;
     }
-    if (!job) {
-      early_.push_back(std::move(msg));
-      co_return;
-    }
-    // Copy into the staging-out slot, then RDMA-write to the host buffer
-    // (the second staging hop of fig. 6).
-    co_await rt_.engine().sleep(rt_.spec().cost.staging_copy_time(blk->bpr));
-    auto& arena = *co_await arena_for(job->host_rank, job->rbuf ^ 0xA2Aull,
-                                      job->bpr * static_cast<std::size_t>(job->comm->size()),
-                                      job->backed);
-    const auto slot =
-        arena.out + static_cast<machine::Addr>(blk->src_comm_rank) * job->bpr;
-    if (!blk->data.empty()) vctx().mem().write(slot, blk->data);
-    auto c = co_await vctx().post_rdma_write(
-        arena.mr_out.lkey, slot, job->host_rank, job->rbuf_rkey,
-        job->rbuf + static_cast<machine::Addr>(blk->src_comm_rank) * job->bpr, job->bpr);
-    ++job->writes_posted;
-    c->subscribe([counter = job->writes_done] { ++*counter; });
-    job->arrived.insert(blk->src_comm_rank);
-  } else if (auto* bd = std::any_cast<BcastDataMsg>(&msg.body)) {
-    BcastJob* job = nullptr;
-    for (auto& j : bcast_jobs_) {
-      if (j->key == bd->key && j->host_rank == bd->dst_rank) {
-        job = j.get();
-        break;
-      }
-    }
-    if (!job) {
-      early_.push_back(std::move(msg));
-      co_return;
-    }
-    co_await rt_.engine().sleep(rt_.spec().cost.staging_copy_time(bd->len));
-    auto& arena = *co_await arena_for(job->host_rank, job->buf ^ 0xBCull, job->len,
-                                      job->backed);
-    if (!bd->data.empty()) vctx().mem().write(arena.in, bd->data);
-    job->have_data = true;
-  } else {
-    require(false, "unknown BluesMPI worker message");
   }
+  if (!job) {
+    early_.push_back(std::move(blk));
+    co_return;
+  }
+  // Copy into the staging-out slot, then RDMA-write to the host buffer
+  // (the second staging hop of fig. 6).
+  co_await rt_.engine().sleep(rt_.spec().cost.staging_copy_time(blk.bpr));
+  auto& arena = *co_await arena_for(job->host_rank, job->rbuf ^ 0xA2Aull,
+                                    job->bpr * static_cast<std::size_t>(job->comm->size()),
+                                    job->backed);
+  const auto slot = arena.out + static_cast<machine::Addr>(blk.src_comm_rank) * job->bpr;
+  if (!blk.data.empty()) vctx().mem().write(slot, blk.data);
+  auto c = co_await vctx().post_rdma_write(
+      arena.mr_out.lkey, slot, job->host_rank, job->rbuf_rkey,
+      job->rbuf + static_cast<machine::Addr>(blk.src_comm_rank) * job->bpr, job->bpr);
+  ++job->writes_posted;
+  c->subscribe([counter = job->writes_done] { ++*counter; });
+  job->arrived.insert(blk.src_comm_rank);
+}
+
+sim::Task<void> BluesWorker::on(BcastDataMsg& bd) {
+  BcastJob* job = nullptr;
+  for (auto& j : bcast_jobs_) {
+    if (j->key == bd.key && j->host_rank == bd.dst_rank) {
+      job = j.get();
+      break;
+    }
+  }
+  if (!job) {
+    early_.push_back(std::move(bd));
+    co_return;
+  }
+  co_await rt_.engine().sleep(rt_.spec().cost.staging_copy_time(bd.len));
+  auto& arena = *co_await arena_for(job->host_rank, job->buf ^ 0xBCull, job->len, job->backed);
+  if (!bd.data.empty()) vctx().mem().write(arena.in, bd.data);
+  job->have_data = true;
 }
 
 sim::Task<bool> BluesWorker::advance_a2a(A2AJob& job) {
@@ -324,7 +286,7 @@ sim::Task<bool> BluesWorker::advance_a2a(A2AJob& job) {
       blk.bpr = job.bpr;
       const auto slot = arena.in + static_cast<machine::Addr>(dst) * job.bpr;
       if (vctx().mem().backed(slot)) blk.data = vctx().mem().read(slot, job.bpr);
-      std::any body = std::move(blk);
+      BluesWire body = std::move(blk);
       co_await vctx().post_ctrl(rt_.spec().proxy_for_host(dst_world), kBluesChannel,
                                 std::move(body), job.bpr);
     }
@@ -387,7 +349,7 @@ sim::Task<bool> BluesWorker::advance_bcast(BcastJob& job) {
         m.dst_rank = child_world;
         m.len = job.len;
         if (vctx().mem().backed(arena.in)) m.data = vctx().mem().read(arena.in, job.len);
-        std::any body = std::move(m);
+        BluesWire body = std::move(m);
         co_await vctx().post_ctrl(rt_.spec().proxy_for_host(child_world), kBluesChannel,
                                   std::move(body), job.len);
       }

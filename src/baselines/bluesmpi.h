@@ -19,6 +19,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <variant>
 #include <vector>
 
 #include "mpi/communicator.h"
@@ -30,7 +31,54 @@
 
 namespace dpu::baselines {
 
-inline constexpr int kBluesChannel = 5;
+/// Descriptor: host -> its worker (one per collective call).
+struct A2ADesc {
+  std::uint64_t key = 0;
+  int host_rank = -1;
+  mpi::CommPtr comm;
+  std::size_t bpr = 0;
+  machine::Addr sbuf = 0;
+  verbs::RKey sbuf_rkey = 0;
+  machine::Addr rbuf = 0;
+  verbs::RKey rbuf_rkey = 0;
+  bool backed = false;
+  verbs::Completion flag;
+};
+
+struct BcastDesc {
+  std::uint64_t key = 0;
+  int host_rank = -1;
+  mpi::CommPtr comm;
+  std::size_t len = 0;
+  int root = 0;  // comm rank
+  machine::Addr buf = 0;
+  verbs::RKey buf_rkey = 0;
+  bool backed = false;
+  verbs::Completion flag;
+};
+
+/// Staged alltoall block moving worker -> worker (data rides the message;
+/// timing-equivalent to the RDMA write BluesMPI posts between staging
+/// buffers).
+struct BlockMsg {
+  std::uint64_t key = 0;
+  int dst_rank = -1;       // destination host (world rank)
+  int src_comm_rank = -1;  // block index at the destination
+  std::size_t bpr = 0;
+  std::vector<std::byte> data;
+};
+
+struct BcastDataMsg {
+  std::uint64_t key = 0;
+  int dst_rank = -1;  // destination host (world rank)
+  std::size_t len = 0;
+  std::vector<std::byte> data;
+};
+
+/// The closed message set of a staging worker's inbox.
+using BluesWire = std::variant<A2ADesc, BcastDesc, BlockMsg, BcastDataMsg>;
+
+inline constexpr verbs::Chan<BluesWire> kBluesChannel{5};
 
 struct BluesRequest {
   verbs::Completion flag;
@@ -126,7 +174,12 @@ class BluesWorker {
     verbs::MrInfo mr_out;
   };
 
-  sim::Task<void> handle(verbs::CtrlMsg msg);
+  sim::Task<void> handle(BluesWire msg);
+  // One handler per BluesWire alternative (std::visit dispatch).
+  sim::Task<void> on(A2ADesc& d);
+  sim::Task<void> on(BcastDesc& d);
+  sim::Task<void> on(BlockMsg& blk);
+  sim::Task<void> on(BcastDataMsg& bd);
   sim::Task<bool> advance_a2a(A2AJob& job);
   sim::Task<bool> advance_bcast(BcastJob& job);
   sim::Task<Arena*> arena_for(int host_rank, std::uint64_t buf_sig, std::size_t bytes,
@@ -139,7 +192,7 @@ class BluesWorker {
   std::map<std::uint64_t, Arena> arenas_;
   std::vector<std::unique_ptr<A2AJob>> a2a_jobs_;
   std::vector<std::unique_ptr<BcastJob>> bcast_jobs_;
-  std::deque<verbs::CtrlMsg> early_;  // blocks that raced ahead of their job
+  std::deque<BluesWire> early_;  // blocks that raced ahead of their job
   std::uint64_t setups_ = 0;
   std::uint64_t a2a_done_ = 0;
   std::uint64_t bcast_done_ = 0;

@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <variant>
 #include <vector>
 
 #include "machine/address_space.h"
@@ -74,5 +75,9 @@ struct RtsShmMsg {
 struct FinShmMsg {
   std::uint64_t sender_req = 0;
 };
+
+/// The closed message set of minimpi's inbox; MpiCtx handles each kind.
+using Wire = std::variant<EagerNetMsg, RtsNetMsg, CtsNetMsg, FinNetMsg, EagerShmMsg, RtsShmMsg,
+                          FinShmMsg>;
 
 }  // namespace dpu::mpi

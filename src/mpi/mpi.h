@@ -38,7 +38,7 @@
 namespace dpu::mpi {
 
 /// Verbs inbox channel used by minimpi.
-inline constexpr int kMpiChannel = 1;
+inline constexpr verbs::Chan<Wire> kMpiChannel{1};
 
 struct CollState;
 
@@ -139,7 +139,17 @@ class MpiCtx {
     int src_proc = -1;
   };
 
-  sim::Task<void> handle_msg(verbs::CtrlMsg msg);
+  // One handler per Wire alternative, dispatched by std::visit from
+  // progress(); `src` is the sending process (-1 on the shared-memory path).
+  sim::Task<void> on(EagerNetMsg& m, int src);
+  sim::Task<void> on(RtsNetMsg& m, int src);
+  sim::Task<void> on(CtsNetMsg& m, int src);
+  sim::Task<void> on(FinNetMsg& m, int src);
+  sim::Task<void> on(EagerShmMsg& m, int src);
+  sim::Task<void> on(RtsShmMsg& m, int src);
+  sim::Task<void> on(FinShmMsg& m, int src);
+  /// Posted receive matching `env`, dequeued; null when none is posted.
+  Request match_posted(const Envelope& env);
   sim::Task<bool> try_match_unexpected(const Request& recv);
   sim::Task<void> complete_recv_from(const Unexpected& u, const Request& recv);
   sim::Task<void> start_rndv_reply(const Request& recv, std::uint64_t sender_req,
@@ -182,7 +192,7 @@ class MpiWorld {
   CommPtr create_comm(const std::vector<int>& world_ranks);
 
   /// Intra-node (shared-memory) delivery, bypassing the NIC.
-  void deliver_local(int src_rank, int dst_rank, std::any body, SimDuration delay);
+  void deliver_local(int src_rank, int dst_rank, Wire body, SimDuration delay);
 
  private:
   verbs::Runtime& rt_;

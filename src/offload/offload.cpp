@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <utility>
+#include <variant>
 
 #include "analysis/invariants.h"
 #include "common/check.h"
@@ -224,52 +225,60 @@ SimDuration OffloadEndpoint::wait_tick() const {
   return from_us(std::max(1.0, rt_.spec().fault.hb_period_us / 4.0));
 }
 
-sim::Task<void> OffloadEndpoint::drain_liveness() {
-  if (!liveness_on()) co_return;
-  auto& box = vctx().inbox(kLivenessChannel);
+void OffloadEndpoint::drain_liveness() {
+  if (!liveness_on()) return;
+  auto& box = vctx().inbox(kHostLiveInbox);
   while (auto msg = box.try_recv()) {
-    if (auto* ack = std::any_cast<HeartbeatAckMsg>(&msg->body)) {
-      auto& m = monitor(ack->proxy);
-      ++hb_acked_;
-      auto it = m.outstanding.find(ack->seq);
-      if (it != m.outstanding.end()) {
-        const auto rtt_ns =
-            static_cast<std::uint64_t>(to_us(rt_.engine().now() - it->second) * 1000.0);
-        hb_rtt_total_ns_ += rtt_ns;
-        if (rtt_ns > hb_rtt_max_ns_.value()) hb_rtt_max_ns_.set(rtt_ns);
-        // Older unanswered probes are superseded by this reply.
-        m.outstanding.erase(m.outstanding.begin(), std::next(it));
-      }
-      // A confirmed death is terminal even if the proxy later answers (an
-      // unbounded hang that recovered): failover already committed, and the
-      // fences make any late proxy work harmless.
-      if (!m.dead) {
-        m.last_ack = rt_.engine().now();
-        if (m.suspected) {
-          m.suspected = false;
-          ++lease_reacquired_;
-        }
-      }
-    } else if (auto* sa = std::any_cast<StopAckMsg>(&msg->body)) {
-      stop_acked_.insert(sa->proxy);
-      auto& m = monitor(sa->proxy);
-      if (!m.dead) m.last_ack = rt_.engine().now();
-    } else if (auto* arr = std::any_cast<RecvArrivedMsg>(&msg->body)) {
-      ++arrivals_seen_[{arr->dst_req_id, arr->src_rank, arr->tag}];
-    } else if (auto* sd = std::any_cast<SendDeliveredMsg>(&msg->body)) {
-      ++sends_delivered_[{sd->req_id, sd->dst_rank, sd->tag}];
-    } else if (auto* dm = std::any_cast<DegradeMsg>(&msg->body)) {
-      ++certs_received_;
-      if (dm->dead_proxy >= 0 && rt_.spec().is_proxy(dm->dead_proxy)) {
-        if (dead_proxies_.insert(dm->dead_proxy).second) {
-          monitor(dm->dead_proxy).dead = true;
-        }
-      }
-      if (dm->group) pending_degrades_.push_back(*dm);
-    } else {
-      require(false, "unknown message on the liveness channel");
+    std::visit([this](const auto& m) { on(m); }, msg->body);
+  }
+}
+
+void OffloadEndpoint::on(const HeartbeatAckMsg& ack) {
+  auto& m = monitor(ack.proxy);
+  ++hb_acked_;
+  auto it = m.outstanding.find(ack.seq);
+  if (it != m.outstanding.end()) {
+    const auto rtt_ns =
+        static_cast<std::uint64_t>(to_us(rt_.engine().now() - it->second) * 1000.0);
+    hb_rtt_total_ns_ += rtt_ns;
+    if (rtt_ns > hb_rtt_max_ns_.value()) hb_rtt_max_ns_.set(rtt_ns);
+    // Older unanswered probes are superseded by this reply.
+    m.outstanding.erase(m.outstanding.begin(), std::next(it));
+  }
+  // A confirmed death is terminal even if the proxy later answers (an
+  // unbounded hang that recovered): failover already committed, and the
+  // fences make any late proxy work harmless.
+  if (!m.dead) {
+    m.last_ack = rt_.engine().now();
+    if (m.suspected) {
+      m.suspected = false;
+      ++lease_reacquired_;
     }
   }
+}
+
+void OffloadEndpoint::on(const StopAckMsg& sa) {
+  stop_acked_.insert(sa.proxy);
+  auto& m = monitor(sa.proxy);
+  if (!m.dead) m.last_ack = rt_.engine().now();
+}
+
+void OffloadEndpoint::on(const RecvArrivedMsg& arr) {
+  ++arrivals_seen_[{arr.dst_req_id, arr.src_rank, arr.tag}];
+}
+
+void OffloadEndpoint::on(const SendDeliveredMsg& sd) {
+  ++sends_delivered_[{sd.req_id, sd.dst_rank, sd.tag}];
+}
+
+void OffloadEndpoint::on(const DegradeMsg& dm) {
+  ++certs_received_;
+  if (dm.dead_proxy >= 0 && rt_.spec().is_proxy(dm.dead_proxy)) {
+    if (dead_proxies_.insert(dm.dead_proxy).second) {
+      monitor(dm.dead_proxy).dead = true;
+    }
+  }
+  if (dm.group) pending_degrades_.push_back(dm);
 }
 
 sim::Task<void> OffloadEndpoint::pump_monitors() {
@@ -290,8 +299,8 @@ sim::Task<void> OffloadEndpoint::pump_monitors() {
       m.outstanding.emplace(seq, now);
       m.last_beat = now;
       ++hb_sent_;
-      std::any beat = HeartbeatMsg{rank_, seq};
-      co_await vctx().post_ctrl(proxy, kLivenessChannel, std::move(beat), 0);
+      ProxyLive beat = HeartbeatMsg{rank_, seq};
+      co_await vctx().post_ctrl(proxy, kProxyLiveInbox, std::move(beat), 0);
     }
     if (!m.suspected && now - m.last_ack > from_us(f.hb_suspect_after_us)) {
       m.suspected = true;
@@ -368,16 +377,16 @@ sim::Task<OffloadReqPtr> OffloadEndpoint::send_offload(machine::Addr addr, std::
       const std::size_t clen =
           chunk_len(len, rt_.spec().cost.chunk_bytes, ck.index, ck.count);
       if (auto* chk = rt_.engine().checker()) chk->on_rts(rank_, dst, tag, ck.index, ck.count);
-      std::any rts = RtsProxyMsg{rank_, dst, tag, clen, info, req->flag, ck, req->cd, tenant_};
-      co_await retx_.send(ck.owner_proxy, kProxyChannel, std::move(rts), 0);
+      ProxyCtrl rts = RtsProxyMsg{rank_, dst, tag, clen, info, req->flag, ck, req->cd, tenant_};
+      co_await retx_.send(ck.owner_proxy, kProxyInbox, std::move(rts), 0);
       ++ctrl_sent_;
     }
     co_return req;
   }
   // NB: named locals, not temporaries — see the GCC 12 note in sim/task.h.
   if (auto* chk = rt_.engine().checker()) chk->on_rts(rank_, dst, tag, 0, 1);
-  std::any rts = RtsProxyMsg{rank_, dst, tag, len, info, req->flag, {}, {}, tenant_};
-  co_await retx_.send(proxy, kProxyChannel, std::move(rts), 0);
+  ProxyCtrl rts = RtsProxyMsg{rank_, dst, tag, len, info, req->flag, {}, {}, tenant_};
+  co_await retx_.send(proxy, kProxyInbox, std::move(rts), 0);
   ++ctrl_sent_;
   co_return req;
 }
@@ -432,16 +441,16 @@ sim::Task<OffloadReqPtr> OffloadEndpoint::recv_offload(machine::Addr addr, std::
       const std::size_t clen =
           chunk_len(len, rt_.spec().cost.chunk_bytes, ck.index, ck.count);
       if (auto* chk = rt_.engine().checker()) chk->on_rtr(src, rank_, tag, ck.index, ck.count);
-      std::any rtr = RtrProxyMsg{src,     rank_,     tag, clen,    addr + ck.offset,
-                                 mr.rkey, req->flag, ck,  req->cd, tenant_};
-      co_await retx_.send(ck.owner_proxy, kProxyChannel, std::move(rtr), 0);
+      ProxyCtrl rtr = RtrProxyMsg{src,     rank_,     tag, clen,    addr + ck.offset,
+                                  mr.rkey, req->flag, ck,  req->cd, tenant_};
+      co_await retx_.send(ck.owner_proxy, kProxyInbox, std::move(rtr), 0);
       ++ctrl_sent_;
     }
     co_return req;
   }
   if (auto* chk = rt_.engine().checker()) chk->on_rtr(src, rank_, tag, 0, 1);
-  std::any rtr = RtrProxyMsg{src, rank_, tag, len, addr, mr.rkey, req->flag, {}, {}, tenant_};
-  co_await retx_.send(proxy, kProxyChannel, std::move(rtr), 0);
+  ProxyCtrl rtr = RtrProxyMsg{src, rank_, tag, len, addr, mr.rkey, req->flag, {}, {}, tenant_};
+  co_await retx_.send(proxy, kProxyInbox, std::move(rtr), 0);
   ++ctrl_sent_;
   co_return req;
 }
@@ -458,13 +467,13 @@ sim::Task<void> OffloadEndpoint::degrade_basic(const OffloadReqPtr& req) {
     chk->on_basic_degraded(src, dst, req->tag);
     chk->on_degrade_cert(rank_, req->peer, req->dep_proxy);
   }
-  std::any fence = FenceBasicMsg{src, dst, req->tag};
-  co_await vctx().post_ctrl(req->dep_proxy, kLivenessChannel, std::move(fence), 0);
+  ProxyLive fence = FenceBasicMsg{src, dst, req->tag};
+  co_await vctx().post_ctrl(req->dep_proxy, kProxyLiveInbox, std::move(fence), 0);
   // Death certificate to the counterparty so it degrades without waiting
   // out its own detection window (both ends of a basic pair depend on the
   // same source-side proxy).
-  std::any cert = DegradeMsg{rank_, req->dep_proxy, false, {}};
-  co_await vctx().post_ctrl(req->peer, kLivenessChannel, std::move(cert), 0);
+  HostLive cert = DegradeMsg{rank_, req->dep_proxy, false, {}};
+  co_await vctx().post_ctrl(req->peer, kHostLiveInbox, std::move(cert), 0);
   // Re-execute on the host-driven path, in a context no healthy minimpi
   // traffic — and no OTHER TENANT's concurrent failover — can match: the
   // context is derived from this endpoint's tenant, so two communicators
@@ -508,10 +517,10 @@ sim::Task<bool> OffloadEndpoint::advance_striped(const OffloadReqPtr& req) {
       if (auto* chk = rt_.engine().checker()) {
         chk->on_degrade_cert(rank_, req->peer, owner);
       }
-      std::any fence = FenceBasicMsg{src, dst, req->tag};
-      co_await vctx().post_ctrl(owner, kLivenessChannel, std::move(fence), 0);
-      std::any cert = DegradeMsg{rank_, owner, false, {}};
-      co_await vctx().post_ctrl(req->peer, kLivenessChannel, std::move(cert), 0);
+      ProxyLive fence = FenceBasicMsg{src, dst, req->tag};
+      co_await vctx().post_ctrl(owner, kProxyLiveInbox, std::move(fence), 0);
+      HostLive cert = DegradeMsg{rank_, owner, false, {}};
+      co_await vctx().post_ctrl(req->peer, kHostLiveInbox, std::move(cert), 0);
     }
     auto& mc = rt_.mpi_world()->ctx(rank_);
     const int fb_ctx = failover_basic_context(tenant_);
@@ -556,7 +565,7 @@ sim::Task<bool> OffloadEndpoint::advance_striped(const OffloadReqPtr& req) {
 sim::Task<Status> OffloadEndpoint::wait_many(std::vector<OffloadReqPtr> reqs) {
   auto& eng = rt_.engine();
   for (;;) {
-    co_await drain_liveness();
+    drain_liveness();
     co_await apply_pending_degrades();
     co_await pump_monitors();
     bool all_done = true;
@@ -641,14 +650,14 @@ sim::Task<Status> OffloadEndpoint::finalize() {
       if (rt_.spec().multi_tenant() && !rt_.spec().proxy_serves_tenant(p, tenant_)) {
         continue;
       }
-      std::any stop = StopMsg{rank_};
-      co_await retx_.send(p, kProxyChannel, std::move(stop), 0);
+      ProxyCtrl stop = StopMsg{rank_};
+      co_await retx_.send(p, kProxyInbox, std::move(stop), 0);
       ++ctrl_sent_;
     }
   }
   if (!liveness_on()) {
-    std::any stop = StopMsg{rank_};
-    co_await retx_.send(my_proxy, kProxyChannel, std::move(stop), 0);
+    ProxyCtrl stop = StopMsg{rank_};
+    co_await retx_.send(my_proxy, kProxyInbox, std::move(stop), 0);
     ++ctrl_sent_;
     co_return retx_.gave_up_on(my_proxy) ? Status::kUnreachable : Status::kOk;
   }
@@ -657,8 +666,8 @@ sim::Task<Status> OffloadEndpoint::finalize() {
     // already settled (or fenced) by the failover machinery.
     co_return Status::kDegraded;
   }
-  std::any stop = StopMsg{rank_};
-  co_await retx_.send(my_proxy, kProxyChannel, std::move(stop), 0);
+  ProxyCtrl stop = StopMsg{rank_};
+  co_await retx_.send(my_proxy, kProxyInbox, std::move(stop), 0);
   ++ctrl_sent_;
   // Bounded drain: wait for the proxy's application-level StopAck instead of
   // trusting it blindly. A proxy that dies mid-shutdown (or hangs past the
@@ -666,12 +675,12 @@ sim::Task<Status> OffloadEndpoint::finalize() {
   auto& eng = rt_.engine();
   const SimTime deadline = eng.now() + from_us(rt_.spec().fault.finalize_drain_us);
   while (eng.now() < deadline) {
-    co_await drain_liveness();
+    drain_liveness();
     if (stop_acked_.count(my_proxy) > 0) co_return Status::kOk;
     if (proxy_presumed_dead(my_proxy)) break;
     co_await eng.sleep(wait_tick());
   }
-  co_await drain_liveness();
+  drain_liveness();
   if (stop_acked_.count(my_proxy) > 0) co_return Status::kOk;
   ++finalize_timeouts_;
   dead_proxies_.insert(my_proxy);
@@ -685,15 +694,15 @@ sim::Task<void> OffloadEndpoint::invalidate(machine::Addr addr, std::size_t len)
   (void)gvmi_cache_.evict(my_proxy, addr, len);
   (void)ib_cache_.evict(addr, len);
   // DPU-side cross-registrations of this buffer at my proxy.
-  std::any inv = InvalidateMsg{rank_, addr, len};
-  co_await retx_.send(my_proxy, kProxyChannel, std::move(inv), 0);
+  ProxyCtrl inv = InvalidateMsg{rank_, addr, len};
+  co_await retx_.send(my_proxy, kProxyInbox, std::move(inv), 0);
   ++ctrl_sent_;
 }
 
 sim::Task<bool> OffloadEndpoint::test(const OffloadReqPtr& req) {
   co_await rt_.engine().sleep(from_us(rt_.spec().cost.mpi_call_us));
   if (liveness_on() && !req->flag->is_set() && !req->chunks.empty()) {
-    co_await drain_liveness();
+    drain_liveness();
     co_await pump_monitors();
     // lint: await-status ok: advance_striped is invoked for its side
     // effects (failover of dead chunks); completion is re-read from the flag.
@@ -795,7 +804,7 @@ void OffloadEndpoint::group_end(const GroupReqPtr& req) { req->ended = true; }
 sim::Task<GroupMetaMsg> OffloadEndpoint::await_meta_from(int peer) {
   auto& buf = meta_buf_[peer];
   auto& vctx = rt_.verbs().ctx(rank_);
-  auto& box = vctx.inbox(kGroupMetaChannel);
+  auto& box = vctx.inbox(kGroupMetaInbox);
   for (;;) {
     if (!buf.empty()) {
       GroupMetaMsg m = std::move(buf.front());
@@ -803,23 +812,19 @@ sim::Task<GroupMetaMsg> OffloadEndpoint::await_meta_from(int peer) {
       co_return m;
     }
     while (auto msg = box.try_recv()) {
-      // Under faults the metadata travels in a reliable envelope (the
-      // transport acked it at delivery): drop replays, then unwrap.
-      if (auto* rel = std::any_cast<ReliableMsg>(&msg->body)) {
-        const bool fresh = dup_filter_.accept(rel->sender, rel->seq);
+      // Under faults the metadata carries a sequence header (the transport
+      // acked it at delivery): drop replays.
+      if (const auto& hdr = msg->body.hdr) {
+        const bool fresh = dup_filter_.accept(hdr->sender, hdr->seq);
         if (auto* chk = rt_.engine().checker()) {
-          chk->on_reliable_delivery(rank_, rel->sender, rel->seq, fresh);
+          chk->on_reliable_delivery(rank_, hdr->sender, hdr->seq, fresh);
         }
         if (!fresh) {
           ++dup_dropped_;
           continue;
         }
-        // `rel` points into msg->body; detach the payload before overwriting
-        // it (any::operator= destroys the old value before transferring).
-        std::any inner = std::move(rel->inner);
-        msg->body = std::move(inner);
       }
-      auto meta = std::any_cast<GroupMetaMsg>(std::move(msg->body));
+      GroupMetaMsg& meta = msg->body.msg;
       meta_buf_[meta.from_rank].push_back(std::move(meta));
     }
     if (!buf.empty()) continue;
@@ -897,8 +902,8 @@ sim::Task<void> OffloadEndpoint::group_call(const GroupReqPtr& req) {
     // §VII-D cache hit: all metadata already lives on the proxy; send only
     // the request id.
     ++group_hits_;
-    std::any cc = GroupCachedCallMsg{rank_, req->id, req->current_flag, tenant_};
-    co_await retx_.send(my_proxy, kProxyChannel, std::move(cc), 0);
+    ProxyCtrl cc = GroupCachedCallMsg{rank_, req->id, req->current_flag, tenant_};
+    co_await retx_.send(my_proxy, kProxyInbox, std::move(cc), 0);
     ++ctrl_sent_;
     co_return;
   }
@@ -935,8 +940,8 @@ sim::Task<void> OffloadEndpoint::group_call(const GroupReqPtr& req) {
   for (auto& [peer, entries] : meta_out) {
     const auto bytes =
         static_cast<std::size_t>(cost.group_entry_bytes * static_cast<double>(entries.size()));
-    std::any meta = GroupMetaMsg{rank_, req->id, std::move(entries), tenant_};
-    co_await retx_.send(peer, kGroupMetaChannel, std::move(meta), bytes);
+    GroupMetaMsg meta = GroupMetaMsg{rank_, req->id, std::move(entries), tenant_};
+    co_await retx_.send(peer, kGroupMetaInbox, std::move(meta), bytes);
     ++ctrl_sent_;
   }
 
@@ -1002,8 +1007,8 @@ sim::Task<void> OffloadEndpoint::group_call(const GroupReqPtr& req) {
   // 5. One contiguous Group_Offload_packet to my proxy.
   const auto pkt_bytes =
       static_cast<std::size_t>(cost.group_entry_bytes * static_cast<double>(req->ops.size()));
-  std::any pkt = GroupPacketMsg{rank_, req->id, req->ops, req->current_flag, tenant_};
-  co_await retx_.send(my_proxy, kProxyChannel, std::move(pkt), pkt_bytes);
+  ProxyCtrl pkt = GroupPacketMsg{rank_, req->id, req->ops, req->current_flag, tenant_};
+  co_await retx_.send(my_proxy, kProxyInbox, std::move(pkt), pkt_bytes);
   ++ctrl_sent_;
   if (group_cache_enabled_) req->sent_to_proxy = true;
 }
@@ -1101,8 +1106,8 @@ sim::Task<void> OffloadEndpoint::redispatch_to_sibling(const GroupReqPtr& req, i
   // The checker treats a sibling re-dispatch like a degrade: it authorizes
   // the fence on the old home (and any fenced-arrival swallows there).
   if (auto* chk = rt_.engine().checker()) chk->on_group_degraded(rank_, req->id);
-  std::any fence = FenceGroupMsg{rank_, req->id, tenant_};
-  co_await vc.post_ctrl(old, kLivenessChannel, std::move(fence), 0);
+  ProxyLive fence = FenceGroupMsg{rank_, req->id, tenant_};
+  co_await vc.post_ctrl(old, kProxyLiveInbox, std::move(fence), 0);
   // Re-register the send buffers against the sibling's GVMI and ship the
   // full packet — the sibling has no recorded template for this request.
   // Striped entries owned by dead workers move to the sibling too, and a
@@ -1130,8 +1135,8 @@ sim::Task<void> OffloadEndpoint::redispatch_to_sibling(const GroupReqPtr& req, i
   const auto& cost = rt_.spec().cost;
   const auto pkt_bytes = static_cast<std::size_t>(
       cost.group_entry_bytes * static_cast<double>(req->ops.size()));
-  std::any pkt = GroupPacketMsg{rank_, req->id, req->ops, req->current_flag, tenant_};
-  co_await retx_.send(sib, kProxyChannel, std::move(pkt), pkt_bytes);
+  ProxyCtrl pkt = GroupPacketMsg{rank_, req->id, req->ops, req->current_flag, tenant_};
+  co_await retx_.send(sib, kProxyInbox, std::move(pkt), pkt_bytes);
   ++ctrl_sent_;
   ++rt_.engine().metrics().counter("offload.failover.sibling_redispatch");
 }
@@ -1177,8 +1182,8 @@ sim::Task<void> OffloadEndpoint::degrade_group(const GroupReqPtr& req, int dead_
   // Fence whichever proxy holds (or held) my job instance, then flood the
   // certificate through the peer graph.
   const int tgt = current_target(*req);
-  std::any fence = FenceGroupMsg{rank_, req->id, tenant_};
-  co_await vctx().post_ctrl(tgt, kLivenessChannel, std::move(fence), 0);
+  ProxyLive fence = FenceGroupMsg{rank_, req->id, tenant_};
+  co_await vctx().post_ctrl(tgt, kProxyLiveInbox, std::move(fence), 0);
   co_await flood_degrade(req, dead_proxy);
 }
 
@@ -1204,8 +1209,8 @@ sim::Task<void> OffloadEndpoint::flood_degrade(const GroupReqPtr& req, int dead_
         cert.req_ids.push_back(op.dst_req_id);
       }
     }
-    std::any body = cert;
-    co_await vctx().post_ctrl(peer, kLivenessChannel, std::move(body), 0);
+    HostLive body = cert;
+    co_await vctx().post_ctrl(peer, kHostLiveInbox, std::move(body), 0);
   }
 }
 
@@ -1296,7 +1301,7 @@ sim::Task<Status> OffloadEndpoint::group_wait_live(GroupReqPtr req) {
       std::erase_if(live_groups_, [&](const GroupReqPtr& g) { return g.get() == req.get(); });
       co_return (req->degraded || req->redispatched) ? Status::kDegraded : Status::kOk;
     }
-    co_await drain_liveness();
+    drain_liveness();
     co_await apply_pending_degrades();
     co_await pump_monitors();
     if (req->fb_active) {

@@ -199,7 +199,13 @@ class OffloadEndpoint {
   bool proxy_presumed_dead(int proxy) const;
   bool failover_ready() const;
   SimDuration wait_tick() const;
-  sim::Task<void> drain_liveness();
+  void drain_liveness();
+  // One handler per host liveness-inbox alternative (std::visit dispatch).
+  void on(const HeartbeatAckMsg& ack);
+  void on(const StopAckMsg& sa);
+  void on(const RecvArrivedMsg& arr);
+  void on(const SendDeliveredMsg& sd);
+  void on(const DegradeMsg& dm);
   sim::Task<void> pump_monitors();
   sim::Task<void> apply_pending_degrades();
   sim::Task<Status> wait_many(std::vector<OffloadReqPtr> reqs);

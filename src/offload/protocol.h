@@ -1,11 +1,15 @@
 // Wire protocol between host processes and DPU proxy (worker) processes.
 //
-// Channels:
+// Channels (each inbox carries one closed message set, see the typed inbox
+// handles at the end of this file):
 //   kProxyChannel     — RTS/RTR control messages, group packets, cached
 //                       calls, inter-proxy notifications (arrival imms,
-//                       barrier counters).
+//                       credits, barrier counters), stops, chunk work.
 //   kGroupMetaChannel — host<->host receive-buffer metadata exchange used
 //                       by Group_Offload_call's matching step (fig. 9).
+//   kLivenessChannel  — heartbeats and fences at a proxy; heartbeat/stop
+//                       acks, delivery notices and degrade certificates at
+//                       a host.
 //
 // Completion flags: in the real system the proxy RDMA-writes a completion
 // counter into pre-registered host memory and Wait polls it. Here the
@@ -13,13 +17,15 @@
 // messages; post_flag_write models the RDMA update.
 #pragma once
 
-#include <any>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
+#include <type_traits>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "machine/address_space.h"
@@ -46,15 +52,13 @@ enum class [[nodiscard]] Status {
   kRejected,     ///< refused at admission: tenant over its max_inflight quota
 };
 
-/// The closed set of wire-message kinds. Every struct that travels on a
+/// The registry of wire-message kinds. Every struct that travels on a
 /// channel declares `static constexpr MsgKind kKind = MsgKind::k<X>;` — the
-/// tag is what makes "wire message" machine-checkable: tools/dpulint keys
-/// its proto-field and handler-exhaustive rules off kKind (one struct per
-/// kind, a dispatch site per struct, a tenant field unless waived), so a
-/// new message kind cannot be added without either wiring it through the
-/// proxy dispatch or explicitly waiving it.
+/// tag is what makes "wire message" machine-checkable: tools/dpulint's
+/// proto-field rule demands a tenant field (unless waived) of every tagged
+/// struct. Which kinds an inbox accepts, and that each one is handled, is
+/// the compiler's job: see the inbox types at the end of this file.
 enum class MsgKind {
-  kReliable,
   kRtsProxy,
   kRtrProxy,
   kChunkWork,
@@ -79,7 +83,6 @@ enum class MsgKind {
 /// Debug/trace name for a message kind.
 constexpr const char* kind_name(MsgKind k) {
   switch (k) {
-    case MsgKind::kReliable: return "Reliable";
     case MsgKind::kRtsProxy: return "RtsProxy";
     case MsgKind::kRtrProxy: return "RtrProxy";
     case MsgKind::kChunkWork: return "ChunkWork";
@@ -103,24 +106,21 @@ constexpr const char* kind_name(MsgKind k) {
   return "?";
 }
 
-/// Shared ack token for one reliable control message. The receiver marks it
-/// after the (simulated) transport-level ack latency; the sender's pending
-/// retransmit timer reads it. This models the RC QP's hardware ack without
-/// a second inbox: acks themselves are never faulted (InfiniBand loses whole
-/// packets, and the retry logic only needs "ack seen by deadline?").
-struct AckState {
-  bool acked = false;
+/// Sequence header of a retransmittable control message: per-(sender,
+/// destination) sequence number, starting at 1, and the proc id the
+/// sequence space belongs to. Receivers run it through their DupFilter.
+struct SeqHeader {
+  std::uint64_t seq = 0;
+  int sender = -1;
 };
 
-/// Envelope for sequence-numbered, retransmittable control messages. Only
-/// used when fault injection is enabled; clean runs ship bare bodies.
-// lint: proto-field ok: transport envelope; the tenant rides on the inner body
-struct ReliableMsg {
-  static constexpr MsgKind kKind = MsgKind::kReliable;
-  std::uint64_t seq = 0;  ///< per-sender, starts at 1
-  int sender = -1;        ///< proc id the seq space belongs to
-  std::shared_ptr<AckState> ack;
-  std::any inner;
+/// Body of an inbox whose senders retransmit under faults: the message plus
+/// its sequence header. The header exists only when fault injection is
+/// enabled; clean runs ship bare bodies (no sequence numbers, no dedup).
+template <class Kinds>
+struct Sequenced {
+  std::optional<SeqHeader> hdr;
+  Kinds msg;
 };
 
 /// Per-receiver duplicate suppression over (sender, seq). Seen-sets compact
@@ -286,8 +286,8 @@ struct RecvArrivedMsg {
 /// lets "each worker know the receive completion progress of its locally
 /// mapped host process" — without it a cached re-call could overwrite a
 /// buffer the destination proxy is still forwarding from.
+/// Credits only travel batched in a CreditBatchMsg, never alone.
 struct CreditMsg {
-  // lint: handler-exhaustive ok: credits only travel batched in CreditBatchMsg
   static constexpr MsgKind kKind = MsgKind::kCredit;
   int src_rank = -1;  ///< sending host the credit is granted to
   int dst_rank = -1;  ///< receiving host that owns the buffer
@@ -441,7 +441,8 @@ struct SendDeliveredMsg {
 /// degrade in the same instant used to collide on the old global constants
 /// (-7777/-7778 + fb_tag scoping is only unique within one job), silently
 /// cross-matching their replay traffic. Every call site must go through
-/// these helpers — scripts/lint.py bans raw -7777/-7778 literals elsewhere.
+/// these helpers — dpulint's fallback-ctx rule bans raw -7777/-7778
+/// literals elsewhere.
 inline constexpr int kFailoverContextBase = -7777;
 
 inline constexpr int failover_group_context(int tenant) {
@@ -451,5 +452,38 @@ inline constexpr int failover_group_context(int tenant) {
 inline constexpr int failover_basic_context(int tenant) {
   return kFailoverContextBase - 1 - 2 * tenant;
 }
+
+// ---------------------------------------------------------------------------
+// Inbox types: the closed message set of every offload inbox. Each receiver
+// dispatches with std::visit and one handler per alternative, so posting a
+// kind an inbox does not list, or leaving a listed kind unhandled, fails to
+// compile.
+// ---------------------------------------------------------------------------
+
+/// Proxy control inbox (kProxyChannel): everything hosts and sibling
+/// proxies ask of a proxy. Sequenced under faults.
+using ProxyCtrl = std::variant<RtsProxyMsg, RtrProxyMsg, GroupPacketMsg, GroupCachedCallMsg,
+                               RecvArrivedMsg, CreditBatchMsg, BarrierCntrMsg, StopMsg,
+                               ChunkWorkMsg, InvalidateMsg>;
+/// Proxy liveness inbox (kLivenessChannel), never faulted.
+using ProxyLive = std::variant<HeartbeatMsg, FenceBasicMsg, FenceGroupMsg>;
+/// Host liveness inbox (kLivenessChannel), never faulted.
+using HostLive = std::variant<HeartbeatAckMsg, StopAckMsg, RecvArrivedMsg, SendDeliveredMsg,
+                              DegradeMsg>;
+
+template <class T>
+concept WireTagged = std::is_same_v<decltype(T::kKind), const MsgKind>;
+template <class V>
+inline constexpr bool kAllTagged = false;
+template <class... Ks>
+inline constexpr bool kAllTagged<std::variant<Ks...>> = (WireTagged<Ks> && ...);
+static_assert(kAllTagged<ProxyCtrl> && kAllTagged<ProxyLive> && kAllTagged<HostLive> &&
+                  WireTagged<GroupMetaMsg>,
+              "every alternative of an offload inbox must carry a MsgKind kKind tag");
+
+inline constexpr verbs::Chan<Sequenced<ProxyCtrl>> kProxyInbox{kProxyChannel};
+inline constexpr verbs::Chan<Sequenced<GroupMetaMsg>> kGroupMetaInbox{kGroupMetaChannel};
+inline constexpr verbs::Chan<ProxyLive> kProxyLiveInbox{kLivenessChannel};
+inline constexpr verbs::Chan<HostLive> kHostLiveInbox{kLivenessChannel};
 
 }  // namespace dpu::offload

@@ -4,6 +4,7 @@
 #include <string>
 #include <tuple>
 #include <utility>
+#include <variant>
 
 #include "analysis/invariants.h"
 #include "common/check.h"
@@ -163,7 +164,7 @@ void Proxy::note_chunk_done() {
 }
 
 sim::Task<void> Proxy::run() {
-  auto& box = vctx().inbox(kProxyChannel);
+  auto& box = vctx().inbox(kProxyInbox);
   const bool liveness = rt_.spec().fault.liveness_enabled();
   // With striping on, EVERY host that may hand this worker delegated chunk
   // work sends a stop here (not just the hosts of the direct mapping — a
@@ -188,14 +189,14 @@ sim::Task<void> Proxy::run() {
       // Liveness plane first: heartbeat replies must not queue behind bulk
       // control work, and fences must land before advance_jobs resumes a
       // job the hosts already failed over (the hang-recovery race).
-      auto& live_box = vctx().inbox(kLivenessChannel);
+      auto& live_box = vctx().inbox(kProxyLiveInbox);
       while (auto m = live_box.try_recv()) {
-        co_await handle_liveness(std::move(*m));
+        co_await handle_liveness(*m);
         moved = true;
       }
     }
     while (auto m = box.try_recv()) {
-      co_await handle(std::move(*m));
+      co_await handle(*m);
       moved = true;
       if (crashed_ || hung_) break;
     }
@@ -216,146 +217,169 @@ sim::Task<void> Proxy::run() {
   }
 }
 
-sim::Task<void> Proxy::handle_liveness(verbs::CtrlMsg msg) {
+sim::Task<void> Proxy::handle_liveness(verbs::Msg<ProxyLive>& msg) {
   co_await charge_entry();
-  if (auto* hb = std::any_cast<HeartbeatMsg>(&msg.body)) {
-    ++hb_replies_;
-    std::any ack = HeartbeatAckMsg{proc_, hb->seq};
-    co_await vctx().post_ctrl(hb->from_rank, kLivenessChannel, std::move(ack), 0);
-  } else if (auto* fb = std::any_cast<FenceBasicMsg>(&msg.body)) {
-    if (auto* chk = rt_.engine().checker()) {
-      chk->on_fence_basic(proc_, fb->src_rank, fb->dst_rank, fb->tag);
+  std::visit([&](auto& m) { on(m, msg.delivered_at); }, msg.body);
+  if (reply_) co_await send_reply();
+}
+
+sim::Task<void> Proxy::send_reply() {
+  Reply r = std::move(*reply_);
+  reply_.reset();
+  co_await vctx().post_ctrl(r.dst, kHostLiveInbox, std::move(r.msg), 0);
+}
+
+void Proxy::on(HeartbeatMsg& hb, SimTime) {
+  ++hb_replies_;
+  reply_ = Reply{hb.from_rank, HeartbeatAckMsg{proc_, hb.seq}};
+}
+
+void Proxy::on(FenceBasicMsg& fb, SimTime) {
+  if (auto* chk = rt_.engine().checker()) {
+    chk->on_fence_basic(proc_, fb.src_rank, fb.dst_rank, fb.tag);
+  }
+  (void)queues_.erase_pair(fb.src_rank, fb.dst_rank, fb.tag);
+  for (auto it = combined_.begin(); it != combined_.end();) {
+    if (it->rts.src_rank == fb.src_rank && it->rts.dst_rank == fb.dst_rank &&
+        it->rts.tag == fb.tag) {
+      it = combined_.erase(it);
+    } else {
+      ++it;
     }
-    (void)queues_.erase_pair(fb->src_rank, fb->dst_rank, fb->tag);
-    for (auto it = combined_.begin(); it != combined_.end();) {
-      if (it->rts.src_rank == fb->src_rank && it->rts.dst_rank == fb->dst_rank &&
-          it->rts.tag == fb->tag) {
-        it = combined_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  } else if (auto* fg = std::any_cast<FenceGroupMsg>(&msg.body)) {
-    if (auto* chk = rt_.engine().checker()) {
-      chk->on_fence_group(proc_, fg->host_rank, fg->req_id);
-    }
-    fenced_.insert({fg->tenant, fg->host_rank, fg->req_id});
-    ++fenced_jobs_;
-    for (auto it = jobs_.begin(); it != jobs_.end();) {
-      if ((*it)->host_rank == fg->host_rank && (*it)->req_id == fg->req_id) {
-        it = jobs_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    for (auto it = pending_arrivals_.begin(); it != pending_arrivals_.end();) {
-      if (it->dst_rank == fg->host_rank && it->dst_req_id == fg->req_id) {
-        it = pending_arrivals_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  } else {
-    require(false, "unknown liveness message at proxy");
   }
 }
 
-sim::Task<void> Proxy::handle(verbs::CtrlMsg msg) {
+void Proxy::on(FenceGroupMsg& fg, SimTime) {
+  if (auto* chk = rt_.engine().checker()) {
+    chk->on_fence_group(proc_, fg.host_rank, fg.req_id);
+  }
+  fenced_.insert({fg.tenant, fg.host_rank, fg.req_id});
+  ++fenced_jobs_;
+  for (auto it = jobs_.begin(); it != jobs_.end();) {
+    if ((*it)->host_rank == fg.host_rank && (*it)->req_id == fg.req_id) {
+      it = jobs_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  for (auto it = pending_arrivals_.begin(); it != pending_arrivals_.end();) {
+    if (it->dst_rank == fg.host_rank && it->dst_req_id == fg.req_id) {
+      it = pending_arrivals_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+}
+
+sim::Task<void> Proxy::handle(verbs::Msg<Sequenced<ProxyCtrl>>& msg) {
   co_await charge_entry();
-  // Under faults every retransmittable message arrives in a reliable
-  // envelope; the transport acked each delivered copy already, so here we
-  // only drop replays, then dispatch the inner body as usual.
-  if (auto* rel = std::any_cast<ReliableMsg>(&msg.body)) {
+  // Under faults every message carries a sequence header; the transport
+  // acked each delivered copy already, so here we only drop replays.
+  if (const auto& hdr = msg.body.hdr) {
     // A finalized host's dup-filter window was pruned; its seq space is
     // dead. Any straggler (a delayed duplicate the retransmitter already
     // covered) is dropped wholesale — re-running accept() would wrongly
     // re-admit it as fresh against the reset window.
-    if (!finalized_hosts_.empty() && finalized_hosts_.count(rel->sender) > 0) {
+    if (!finalized_hosts_.empty() && finalized_hosts_.count(hdr->sender) > 0) {
       co_return;
     }
-    const bool fresh = dup_filter_.accept(rel->sender, rel->seq);
+    const bool fresh = dup_filter_.accept(hdr->sender, hdr->seq);
     if (auto* chk = rt_.engine().checker()) {
-      chk->on_reliable_delivery(proc_, rel->sender, rel->seq, fresh);
+      chk->on_reliable_delivery(proc_, hdr->sender, hdr->seq, fresh);
     }
     if (!fresh) {
       ++dup_dropped_;
       co_return;
     }
-    // `rel` points into msg.body; detach the payload before overwriting it
-    // (any::operator= destroys the old value before transferring).
-    std::any inner = std::move(rel->inner);
-    msg.body = std::move(inner);
   }
-  if (auto* rts = std::any_cast<RtsProxyMsg>(&msg.body)) {
-    if (auto rtr = queues_.on_rts(*rts)) {
-      if (auto* chk = rt_.engine().checker()) {
-        chk->on_pair_matched(proc_, rts->src_rank, rts->dst_rank, rts->tag, rts->chunk.index);
+  std::visit([&](auto& m) { on(m, msg.delivered_at); }, msg.body.msg);
+  if (reply_) co_await send_reply();
+}
+
+void Proxy::on(RtsProxyMsg& rts, SimTime) {
+  if (auto rtr = queues_.on_rts(rts)) {
+    if (auto* chk = rt_.engine().checker()) {
+      chk->on_pair_matched(proc_, rts.src_rank, rts.dst_rank, rts.tag, rts.chunk.index);
+    }
+    combined_.push_back(BasicPair{rts, std::move(*rtr)});
+  }
+}
+
+void Proxy::on(RtrProxyMsg& rtr, SimTime) {
+  if (auto rts = queues_.on_rtr(rtr)) {
+    if (auto* chk = rt_.engine().checker()) {
+      chk->on_pair_matched(proc_, rtr.src_rank, rtr.dst_rank, rtr.tag, rtr.chunk.index);
+    }
+    combined_.push_back(BasicPair{std::move(*rts), rtr});
+  }
+}
+
+void Proxy::on(GroupPacketMsg& pkt, SimTime at) {
+  // First call for this request: build (or replace) the template, then
+  // start an instance.
+  ++tmpl_misses_;
+  auto tmpl = std::make_shared<JobTemplate>();
+  tmpl->entries = std::move(pkt.entries);
+  tmpl->mkey2.assign(tmpl->entries.size(), 0);
+  auto& slot = templates_[{pkt.tenant, pkt.host_rank, pkt.req_id}];
+  // A re-recorded request (host cache disabled or invalidated) is still
+  // the same request: its run count — and with it the credit gating of
+  // every run after the first — must survive the template swap.
+  if (slot) tmpl->runs = slot->runs;
+  slot = std::move(tmpl);
+  start_instance(pkt.tenant, pkt.host_rank, pkt.req_id, pkt.flag, at);
+}
+
+void Proxy::on(GroupCachedCallMsg& cc, SimTime at) {
+  ++tmpl_hits_;
+  start_instance(cc.tenant, cc.host_rank, cc.req_id, cc.flag, at);
+}
+
+void Proxy::on(RecvArrivedMsg& arr, SimTime) {
+  if (!match_arrival(arr)) pending_arrivals_.push_back(arr);
+}
+
+void Proxy::on(CreditBatchMsg& cb, SimTime) {
+  for (const auto& cr : cb.credits) {
+    ++credits_[{cr.tenant, cr.src_rank, cr.dst_rank, cr.tag}];
+  }
+}
+
+void Proxy::on(BarrierCntrMsg& bc, SimTime) {
+  auto& slot = barrier_counters_[{bc.tenant, bc.src_rank}];
+  slot = std::max(slot, bc.count);
+}
+
+void Proxy::on(StopMsg& stop, SimTime) {
+  if (finalized_hosts_.insert(stop.host_rank).second) {
+    ++stops_received_;
+    prune_host_state(stop.host_rank);
+  }
+  if (rt_.spec().fault.liveness_enabled()) {
+    // Liveness runs close the Finalize handshake explicitly, so a host
+    // can bound its drain instead of trusting the proxy to be alive.
+    reply_ = Reply{stop.host_rank, StopAckMsg{proc_}};
+  }
+}
+
+void Proxy::on(ChunkWorkMsg& cw, SimTime) {
+  // Delegated striped segment from the node's home proxy; queue it for the
+  // cap-bounded issue loop.
+  chunk_work_.push_back(std::move(cw));
+}
+
+void Proxy::on(InvalidateMsg& inv, SimTime) {
+  // Cache coherence: drop the cross-registration and un-memoize it from
+  // every cached template of that host.
+  (void)gvmi_cache_.evict(inv.host_rank, inv.addr, inv.len);
+  for (auto& [key, tmpl] : templates_) {
+    if (std::get<1>(key) != inv.host_rank) continue;
+    for (std::size_t i = 0; i < tmpl->entries.size(); ++i) {
+      const auto& e = tmpl->entries[i];
+      if (e.type == GopType::kSend && e.src_addr == inv.addr && e.len == inv.len) {
+        tmpl->mkey2[i] = 0;
       }
-      combined_.push_back(BasicPair{*rts, std::move(*rtr)});
     }
-  } else if (auto* rtr = std::any_cast<RtrProxyMsg>(&msg.body)) {
-    if (auto rts = queues_.on_rtr(*rtr)) {
-      if (auto* chk = rt_.engine().checker()) {
-        chk->on_pair_matched(proc_, rtr->src_rank, rtr->dst_rank, rtr->tag, rtr->chunk.index);
-      }
-      combined_.push_back(BasicPair{std::move(*rts), *rtr});
-    }
-  } else if (auto* pkt = std::any_cast<GroupPacketMsg>(&msg.body)) {
-    // First call for this request: build (or replace) the template, then
-    // start an instance.
-    ++tmpl_misses_;
-    auto tmpl = std::make_shared<JobTemplate>();
-    tmpl->entries = std::move(pkt->entries);
-    tmpl->mkey2.assign(tmpl->entries.size(), 0);
-    auto& slot = templates_[{pkt->tenant, pkt->host_rank, pkt->req_id}];
-    // A re-recorded request (host cache disabled or invalidated) is still
-    // the same request: its run count — and with it the credit gating of
-    // every run after the first — must survive the template swap.
-    if (slot) tmpl->runs = slot->runs;
-    slot = std::move(tmpl);
-    start_instance(pkt->tenant, pkt->host_rank, pkt->req_id, pkt->flag, msg.delivered_at);
-  } else if (auto* cc = std::any_cast<GroupCachedCallMsg>(&msg.body)) {
-    ++tmpl_hits_;
-    start_instance(cc->tenant, cc->host_rank, cc->req_id, cc->flag, msg.delivered_at);
-  } else if (auto* arr = std::any_cast<RecvArrivedMsg>(&msg.body)) {
-    if (!match_arrival(*arr)) pending_arrivals_.push_back(*arr);
-  } else if (auto* cb = std::any_cast<CreditBatchMsg>(&msg.body)) {
-    for (const auto& cr : cb->credits) {
-      ++credits_[{cr.tenant, cr.src_rank, cr.dst_rank, cr.tag}];
-    }
-  } else if (auto* bc = std::any_cast<BarrierCntrMsg>(&msg.body)) {
-    auto& slot = barrier_counters_[{bc->tenant, bc->src_rank}];
-    slot = std::max(slot, bc->count);
-  } else if (auto* stop = std::any_cast<StopMsg>(&msg.body)) {
-    if (finalized_hosts_.insert(stop->host_rank).second) {
-      ++stops_received_;
-      prune_host_state(stop->host_rank);
-    }
-    if (rt_.spec().fault.liveness_enabled()) {
-      // Liveness runs close the Finalize handshake explicitly, so a host
-      // can bound its drain instead of trusting the proxy to be alive.
-      std::any ack = StopAckMsg{proc_};
-      co_await vctx().post_ctrl(stop->host_rank, kLivenessChannel, std::move(ack), 0);
-    }
-  } else if (auto* cw = std::any_cast<ChunkWorkMsg>(&msg.body)) {
-    // Delegated striped segment from the node's home proxy; queue it for the
-    // cap-bounded issue loop.
-    chunk_work_.push_back(std::move(*cw));
-  } else if (auto* inv = std::any_cast<InvalidateMsg>(&msg.body)) {
-    // Cache coherence: drop the cross-registration and un-memoize it from
-    // every cached template of that host.
-    (void)gvmi_cache_.evict(inv->host_rank, inv->addr, inv->len);
-    for (auto& [key, tmpl] : templates_) {
-      if (std::get<1>(key) != inv->host_rank) continue;
-      for (std::size_t i = 0; i < tmpl->entries.size(); ++i) {
-        const auto& e = tmpl->entries[i];
-        if (e.type == GopType::kSend && e.src_addr == inv->addr && e.len == inv->len) {
-          tmpl->mkey2[i] = 0;
-        }
-      }
-    }
-  } else {
-    require(false, "unknown proxy control message");
   }
 }
 
@@ -553,7 +577,7 @@ std::function<void()> Proxy::make_group_send_hook(const JobInstance& job,
   // reliable ctrl message fired at delivery time — an immediate lost with
   // its carrier has no hardware retry of its own.
   std::function<void()> imm_hook = retx_.make_hook(
-      dst_proxy, kProxyChannel,
+      dst_proxy, kProxyInbox,
       RecvArrivedMsg{job.host_rank, e.peer, e.tag, e.dst_req_id, job.tenant});
   if (rt_.spec().fault.liveness_enabled()) {
     // Liveness runs also notify BOTH hosts at delivery time (NIC events, so
@@ -573,8 +597,8 @@ std::function<void()> Proxy::make_group_send_hook(const JobInstance& job,
       // lint: raw-post ok: liveness notices model NIC-generated events that
       // must fire even after this proxy dies; routing them through the
       // retransmitter would tie their delivery to proxy-CPU liveness.
-      pctx->post_ctrl_raw(dst_host, kLivenessChannel, std::any(arr), 0);
-      pctx->post_ctrl_raw(src_host, kLivenessChannel, std::any(sd), 0);
+      pctx->post_ctrl_raw(dst_host, kHostLiveInbox, arr, 0);
+      pctx->post_ctrl_raw(src_host, kHostLiveInbox, sd, 0);
     };
   }
   return imm_hook;
@@ -604,8 +628,8 @@ sim::Task<void> Proxy::post_group_send(JobInstance& job, std::size_t idx) {
     w.done = done;
     job.state[idx].posted = true;
     job.state[idx].completion = std::move(done);
-    std::any body = std::move(w);
-    co_await retx_.send(e.chunk.owner_proxy, kProxyChannel, std::move(body), 64);
+    ProxyCtrl body = std::move(w);
+    co_await retx_.send(e.chunk.owner_proxy, kProxyInbox, std::move(body), 64);
     co_return;
   }
   if (tmpl.mkey2[idx] == 0) {
@@ -680,9 +704,8 @@ sim::Task<bool> Proxy::advance_one(JobInstance& job) {
       if (!job.send_rank_set.empty()) {
         ++job.num_barriers;
         for (int dst : job.send_rank_set) {
-          std::any bc = BarrierCntrMsg{job.host_rank, dst, job.num_barriers, job.tenant};
-          co_await retx_.send(rt_.spec().proxy_for_host(dst), kProxyChannel,
-                              std::move(bc), 0);
+          ProxyCtrl bc = BarrierCntrMsg{job.host_rank, dst, job.num_barriers, job.tenant};
+          co_await retx_.send(rt_.spec().proxy_for_host(dst), kProxyInbox, std::move(bc), 0);
           ++barrier_msgs_;
         }
         job.send_rank_set.clear();
@@ -734,8 +757,8 @@ sim::Task<void> Proxy::grant_credits(const JobInstance& job) {
   }
   for (auto& [proxy, batch] : batches) {
     const auto bytes = batch.credits.size() * 12;
-    std::any body = std::move(batch);
-    co_await retx_.send(proxy, kProxyChannel, std::move(body), bytes);
+    ProxyCtrl body = std::move(batch);
+    co_await retx_.send(proxy, kProxyInbox, std::move(body), bytes);
   }
 }
 

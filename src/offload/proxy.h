@@ -12,6 +12,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <tuple>
 #include <vector>
@@ -151,8 +152,31 @@ class Proxy {
     std::shared_ptr<ChunkCountdown> countdown;
   };
 
-  sim::Task<void> handle(verbs::CtrlMsg msg);
-  sim::Task<void> handle_liveness(verbs::CtrlMsg msg);
+  /// A liveness-plane reply (heartbeat or stop ack) queued by a handler;
+  /// posted, with the usual CPU charge, once the handler returns.
+  struct Reply {
+    int dst = -1;
+    HostLive msg;
+  };
+
+  sim::Task<void> handle(verbs::Msg<Sequenced<ProxyCtrl>>& msg);
+  sim::Task<void> handle_liveness(verbs::Msg<ProxyLive>& msg);
+  sim::Task<void> send_reply();
+  // One handler per inbox alternative, dispatched by std::visit: a kind
+  // without a handler fails to compile. `at` is the delivery time.
+  void on(RtsProxyMsg& rts, SimTime at);
+  void on(RtrProxyMsg& rtr, SimTime at);
+  void on(GroupPacketMsg& pkt, SimTime at);
+  void on(GroupCachedCallMsg& cc, SimTime at);
+  void on(RecvArrivedMsg& arr, SimTime at);
+  void on(CreditBatchMsg& cb, SimTime at);
+  void on(BarrierCntrMsg& bc, SimTime at);
+  void on(StopMsg& stop, SimTime at);
+  void on(ChunkWorkMsg& cw, SimTime at);
+  void on(InvalidateMsg& inv, SimTime at);
+  void on(HeartbeatMsg& hb, SimTime at);
+  void on(FenceBasicMsg& fb, SimTime at);
+  void on(FenceGroupMsg& fg, SimTime at);
   sim::Task<bool> process_combined();
   sim::Task<bool> process_chunk_work();
   sim::Task<bool> harvest_fins();
@@ -192,6 +216,7 @@ class Proxy {
   std::map<std::tuple<int, int, std::uint64_t>, std::shared_ptr<JobTemplate>> templates_;
   std::vector<std::unique_ptr<JobInstance>> jobs_;
   std::deque<RecvArrivedMsg> pending_arrivals_;
+  std::optional<Reply> reply_;
   std::map<std::pair<int, int>, int> barrier_counters_;  // (tenant, host) -> count
   /// (tenant, src host, dst host, tag) -> receive-readiness credits.
   std::map<std::tuple<int, int, int, int>, int> credits_;
@@ -200,7 +225,7 @@ class Proxy {
   bool crashed_ = false;
   bool hung_ = false;
   /// Hosts whose Finalize_Offload this proxy processed. Counts each stop
-  /// exactly once and gates out any straggler reliable-envelope traffic from
+  /// exactly once and gates out any straggler sequenced traffic from
   /// that sender: once the dup-filter window is pruned, a late-delayed
   /// duplicate would otherwise be re-accepted as fresh.
   std::set<int> finalized_hosts_;

@@ -12,15 +12,23 @@ Retransmitter::Retransmitter(verbs::ProcCtx& ctx) : ctx_(ctx) {}
 
 bool Retransmitter::enabled() const { return ctx_.runtime().fault().enabled(); }
 
-ReliableMsg Retransmitter::wrap(int dst_proc, std::any body) {
+SeqHeader Retransmitter::next_header(int dst_proc) {
   auto& n = next_seq_[dst_proc];
   if (n == 0) n = 1;
-  ReliableMsg env;
-  env.seq = n++;
-  env.sender = ctx_.proc();
-  env.ack = std::make_shared<AckState>();
-  env.inner = std::move(body);
-  return env;
+  return SeqHeader{n++, ctx_.proc()};
+}
+
+std::shared_ptr<Retransmitter::Pending> Retransmitter::make_pending(int dst_proc) {
+  auto p = std::make_shared<Pending>();
+  p->dst = dst_proc;
+  p->ack = std::make_shared<AckState>();
+  p->timeout = from_us(ctx_.runtime().spec().fault.retry_timeout_us);
+  return p;
+}
+
+void Retransmitter::launch(std::shared_ptr<Pending> p) {
+  p->post();
+  arm(std::move(p));
 }
 
 SimDuration Retransmitter::ack_latency(int peer_proc) const {
@@ -37,15 +45,6 @@ std::function<void()> Retransmitter::ack_return(int peer_proc,
   return [eng, lat, ack] {
     eng->schedule_in(lat, [ack] { ack->acked = true; });
   };
-}
-
-void Retransmitter::resend(Pending& p) {
-  if (p.is_flag) {
-    ctx_.post_flag_write_raw(p.dst, p.flag, p.wake, ack_return(p.dst, p.ack));
-  } else {
-    ctx_.post_ctrl_raw(p.dst, p.channel, std::any(p.env), p.wire_bytes,
-                       ack_return(p.dst, p.ack));
-  }
 }
 
 void Retransmitter::arm(std::shared_ptr<Pending> p) {
@@ -67,57 +66,11 @@ void Retransmitter::arm(std::shared_ptr<Pending> p) {
       return;
     }
     ++self->retries_;
-    self->resend(*p);
+    p->post();
     p->timeout = from_us(
         std::min(to_us(p->timeout) * f.retry_backoff, f.retry_max_timeout_us));
     self->arm(p);
   });
-}
-
-sim::Task<void> Retransmitter::send(int dst_proc, int channel, std::any body,
-                                    std::size_t wire_bytes) {
-  if (!enabled()) {
-    co_await ctx_.post_ctrl(dst_proc, channel, std::move(body), wire_bytes);
-    co_return;
-  }
-  auto p = std::make_shared<Pending>();
-  p->dst = dst_proc;
-  p->channel = channel;
-  p->wire_bytes = wire_bytes;
-  p->env = wrap(dst_proc, std::move(body));
-  p->ack = p->env.ack;
-  p->timeout = from_us(ctx_.runtime().spec().fault.retry_timeout_us);
-  // Same CPU charge as post_ctrl, but the wire stage carries the ack hook.
-  const auto& spec = ctx_.runtime().spec();
-  co_await ctx_.engine().sleep(spec.cost.post_overhead(spec.core_kind(ctx_.proc())));
-  ctx_.post_ctrl_raw(dst_proc, channel, std::any(p->env), wire_bytes,
-                     ack_return(dst_proc, p->ack));
-  arm(p);
-}
-
-void Retransmitter::send_raw(int dst_proc, int channel, std::any body,
-                             std::size_t wire_bytes) {
-  require(enabled(), "send_raw is only reachable under an active fault plan");
-  auto p = std::make_shared<Pending>();
-  p->dst = dst_proc;
-  p->channel = channel;
-  p->wire_bytes = wire_bytes;
-  p->env = wrap(dst_proc, std::move(body));
-  p->ack = p->env.ack;
-  p->timeout = from_us(ctx_.runtime().spec().fault.retry_timeout_us);
-  ctx_.post_ctrl_raw(dst_proc, channel, std::any(p->env), wire_bytes,
-                     ack_return(dst_proc, p->ack));
-  arm(p);
-}
-
-std::function<void()> Retransmitter::make_hook(int dst_proc, int channel,
-                                               std::any body) {
-  if (!enabled()) return ctx_.make_imm_hook(dst_proc, channel, std::move(body));
-  auto* self = this;
-  auto b = std::make_shared<std::any>(std::move(body));
-  return [self, dst_proc, channel, b] {
-    self->send_raw(dst_proc, channel, std::any(*b), 0);
-  };
 }
 
 sim::Task<void> Retransmitter::flag_write(int dst_proc, verbs::Completion flag,
@@ -126,17 +79,12 @@ sim::Task<void> Retransmitter::flag_write(int dst_proc, verbs::Completion flag,
     co_await ctx_.post_flag_write(dst_proc, std::move(flag), wake_proc);
     co_return;
   }
-  const auto& spec = ctx_.runtime().spec();
-  co_await ctx_.engine().sleep(spec.cost.post_overhead(spec.core_kind(ctx_.proc())));
-  auto p = std::make_shared<Pending>();
-  p->is_flag = true;
-  p->dst = dst_proc;
-  p->flag = std::move(flag);
-  p->wake = wake_proc;
-  p->ack = std::make_shared<AckState>();
-  p->timeout = from_us(spec.fault.retry_timeout_us);
-  ctx_.post_flag_write_raw(p->dst, p->flag, p->wake, ack_return(p->dst, p->ack));
-  arm(p);
+  co_await ctx_.engine().sleep(ctx_.post_overhead());
+  auto p = make_pending(dst_proc);
+  p->post = [this, dst_proc, flag = std::move(flag), wake_proc, ack = p->ack] {
+    ctx_.post_flag_write_raw(dst_proc, flag, wake_proc, ack_return(dst_proc, ack));
+  };
+  launch(std::move(p));
 }
 
 }  // namespace dpu::offload

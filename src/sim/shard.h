@@ -33,7 +33,7 @@
 // islands in index order on the calling thread and produces the identical
 // virtual outcome by construction. This file (with shard.cpp) is the only
 // place in the tree allowed to use raw threading primitives — see the
-// `thread` rule in scripts/lint.py.
+// `thread` rule in tools/dpulint.
 #pragma once
 
 #include <condition_variable>  // lint: thread ok: shard scheduler owns the worker pool

@@ -196,9 +196,11 @@ class Channel {
 
   /// Non-suspending receive; empty optional when no item is queued.
   std::optional<T> try_recv() {
-    if (items_.empty()) return std::nullopt;
-    T v = std::move(items_.front());
-    items_.pop_front();
+    std::optional<T> v;
+    if (!items_.empty()) {
+      v.emplace(std::move(items_.front()));
+      items_.pop_front();
+    }
     return v;
   }
 

@@ -13,9 +13,9 @@
 // history; both miscompile silently):
 //  1. Never materialize a NON-TRIVIAL TEMPORARY in an awaited coroutine
 //     call's argument list (e.g. `co_await f(Msg{...})` where the param is
-//     std::any/std::function). The temporary is destroyed too early and
-//     shared_ptr members underflow their refcount. Bind to a named local
-//     and std::move it instead.
+//     a message variant or a std::function). The temporary is destroyed too
+//     early and shared_ptr members underflow their refcount. Bind to a
+//     named local of the parameter's type and std::move it instead.
 //  2. Never put co_await inside a conditional expression
 //     (`c ? co_await a : co_await b`) — the branches clobber temporaries.
 //     Use if/else.

@@ -21,14 +21,15 @@
 // initiator's activity Notifier so progress loops can sleep.
 #pragma once
 
-#include <any>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
+#include "common/check.h"
 #include "fabric/fabric.h"
 #include "fabric/fault.h"
 #include "machine/address_space.h"
@@ -66,12 +67,23 @@ struct GvmiMrInfo {
 /// Completion handle for a posted operation.
 using Completion = std::shared_ptr<sim::Event>;
 
+/// Typed channel handle: inbox `id` of a process carries `Body` messages.
+/// Protocol layers declare one handle per inbox beside their message
+/// structs, so posting a body the inbox does not list fails to compile.
+/// `id` is what the fault plan keys fates on; the typed inbox lookup in
+/// ProcCtx::inbox is the one place the number meets the type.
+template <class Body>
+struct Chan {
+  int id = 0;
+};
+
 /// Control message delivered to a process inbox (two-sided send).
-struct CtrlMsg {
+template <class Body>
+struct Msg {
   int src = -1;
   int channel = 0;
   std::size_t wire_bytes = 0;
-  std::any body;
+  Body body;
   /// Sender-side program-order stamp, assigned when the message (or the
   /// delivery hook carrying it) is created — i.e. in the sender coroutine's
   /// own order, which no same-time dispatch permutation can change.
@@ -84,10 +96,10 @@ struct CtrlMsg {
 /// kept in (src, post_stamp) order instead of delivery-event order, so the
 /// receiver's processing sequence is invariant under tie-shuffled
 /// scheduling. Messages from distinct times never reorder (FIFO).
-inline bool inbox_before(const CtrlMsg& a, const CtrlMsg& b) {
+inline constexpr auto inbox_before = [](const auto& a, const auto& b) {
   return a.delivered_at == b.delivered_at &&
          (a.src < b.src || (a.src == b.src && a.post_stamp < b.post_stamp));
-}
+};
 
 class Runtime;
 
@@ -111,6 +123,8 @@ class ProcCtx {
 
   Runtime& runtime() { return rt_; }
   sim::Engine& engine();
+  /// Initiation overhead of one post on this process's core (host or DPU).
+  SimDuration post_overhead() const;
 
   // ---- standard IB registration ------------------------------------------
   sim::Task<MrInfo> reg_mr(Addr addr, std::size_t len);
@@ -132,33 +146,32 @@ class ProcCtx {
   sim::Task<void> dereg_mr_gvmi(const GvmiMrInfo& info);
 
   // ---- one-sided data ops ---------------------------------------------------
-  /// RDMA write from this process's memory to a remote buffer.
+  /// RDMA write from this process's memory to a remote buffer. A non-empty
+  /// `on_delivered` runs at the target when the last byte lands.
   sim::Task<Completion> post_rdma_write(LKey lkey, Addr laddr, int dst_proc, RKey rkey,
-                                        Addr raddr, std::size_t len);
+                                        Addr raddr, std::size_t len,
+                                        std::function<void()> on_delivered = {});
 
   /// RDMA read of a remote buffer into this process's memory.
   sim::Task<Completion> post_rdma_read(LKey lkey, Addr laddr, int src_proc, RKey rkey,
                                        Addr raddr, std::size_t len);
 
   /// RDMA write with immediate: like post_rdma_write, but delivery also
-  /// places `imm_body` into `dst_proc`'s inbox for `imm_channel` and pokes
-  /// its activity notifier (hardware-generated receive completion).
+  /// places `imm` into `dst_proc`'s inbox `ch` and pokes its activity
+  /// notifier (hardware-generated receive completion).
+  template <class Body>
   sim::Task<Completion> post_rdma_write_imm(LKey lkey, Addr laddr, int dst_proc, RKey rkey,
-                                            Addr raddr, std::size_t len, int imm_channel,
-                                            std::any imm_body);
+                                            Addr raddr, std::size_t len, Chan<Body> ch,
+                                            std::type_identity_t<Body> imm) {
+    std::function<void()> hook = make_imm_hook(dst_proc, ch, std::move(imm));
+    return post_rdma_write(lkey, laddr, dst_proc, rkey, raddr, len, std::move(hook));
+  }
 
   /// Cross-GVMI RDMA write: this (DPU) process moves data *from the host
   /// buffer named by mkey2* to a remote registered buffer. Initiation costs
   /// this process's (DPU) overhead; the wire path starts at the host NIC.
   sim::Task<Completion> post_rdma_write_on_behalf(MKey mkey2, Addr src_addr, int dst_proc,
                                                   RKey rkey, Addr dst_addr, std::size_t len);
-
-  /// Cross-GVMI write-with-immediate (offload FIN packets piggy-back on the
-  /// data delivery this way).
-  sim::Task<Completion> post_rdma_write_on_behalf_imm(MKey mkey2, Addr src_addr, int dst_proc,
-                                                      RKey rkey, Addr dst_addr,
-                                                      std::size_t len, int imm_channel,
-                                                      std::any imm_body);
 
   /// Cross-GVMI write with a delivery hook: `on_delivered` runs when the
   /// last byte lands at the target (models target-side completion
@@ -181,33 +194,47 @@ class ProcCtx {
                            std::function<void()> on_delivered = {});
 
   // ---- two-sided control messages -------------------------------------------
-  /// Sends a small message into `dst_proc`'s inbox for `channel`.
-  /// `wire_bytes` is the modelled on-wire size. Subject to the fault plan.
-  sim::Task<void> post_ctrl(int dst_proc, int channel, std::any body, std::size_t wire_bytes);
+  /// Sends a small message into `dst_proc`'s inbox `ch`. `wire_bytes` is
+  /// the modelled on-wire size. Subject to the fault plan.
+  template <class Body>
+  sim::Task<void> post_ctrl(int dst_proc, Chan<Body> ch, std::type_identity_t<Body> body,
+                            std::size_t wire_bytes) {
+    co_await engine().sleep(post_overhead());
+    post_ctrl_raw(dst_proc, ch, std::move(body), wire_bytes);
+  }
 
   /// Non-coroutine variant for retransmits and delivery hooks: identical
   /// wire behaviour (including fault injection) but no initiator CPU
   /// charge. `on_delivered` runs at the receiver when (each copy of) the
   /// message lands in the inbox — the transport-level receipt the reliable
   /// layer builds its acks on; it does not run for dropped copies.
-  void post_ctrl_raw(int dst_proc, int channel, std::any body, std::size_t wire_bytes,
-                     std::function<void()> on_delivered = {});
+  template <class Body>
+  void post_ctrl_raw(int dst_proc, Chan<Body> ch, std::type_identity_t<Body> body,
+                     std::size_t wire_bytes, std::function<void()> on_delivered = {});
 
-  /// Inbox for a logical channel (created on demand).
-  sim::Channel<CtrlMsg>& inbox(int channel);
+  /// Inbox `ch` of this process (created on demand). Every handle naming
+  /// the same channel number must name the same body type.
+  template <class Body>
+  sim::Channel<Msg<Body>>& inbox(Chan<Body> ch);
 
   /// Lands `msg` in this process's inbox: stamps the delivery time and
-  /// inserts with the inbox_before tiebreak (see CtrlMsg).
-  void deliver_to_inbox(CtrlMsg msg);
+  /// inserts with the inbox_before tiebreak.
+  template <class Body>
+  void deliver_to_inbox(Msg<Body> msg) {
+    msg.delivered_at = engine().now();
+    inbox(Chan<Body>{msg.channel}).send_before(std::move(msg), inbox_before);
+  }
 
   /// Convenience: blocks (simulated) until a posted op completes.
   sim::Task<void> wait(const Completion& c);
 
-  /// Builds a delivery hook that injects `imm_body` into `dst_proc`'s inbox
-  /// for `imm_channel` (write-with-immediate semantics); pass the result to
+  /// Builds a delivery hook that injects `imm` into `dst_proc`'s inbox `ch`
+  /// (write-with-immediate semantics); pass the result to
   /// post_rdma_write_on_behalf_hooked when the immediate should be consumed
   /// by a process other than the data's destination (e.g. its proxy).
-  std::function<void()> make_imm_hook(int dst_proc, int imm_channel, std::any imm_body);
+  template <class Body>
+  std::function<void()> make_imm_hook(int dst_proc, Chan<Body> ch,
+                                      std::type_identity_t<Body> imm);
 
  private:
   friend class Runtime;
@@ -220,9 +247,11 @@ class ProcCtx {
   sim::Task<Completion> post_write_internal(int data_src_proc, Addr src_addr, int dst_proc,
                                             Addr dst_addr, std::size_t len,
                                             std::function<void()> on_delivered = {});
-  /// Shared wire stage of post_ctrl / post_ctrl_raw; consults the fault plan.
-  void send_ctrl_wire(int dst_proc, int channel, std::any body, std::size_t wire_bytes,
-                      std::function<void()> on_delivered = {});
+  /// Wire stage shared by ctrl messages and raw flag writes: moves
+  /// `on_wire` bytes to `dst_proc`'s node and runs `deliver` on arrival,
+  /// after the fault plan's drop/duplicate/delay decision for `channel`.
+  void ship(int dst_proc, int channel, std::size_t on_wire, std::function<void()> deliver);
+  ProcCtx& peer(int proc);
   /// Validates an mkey2 access; returns the host proc owning the memory.
   int check_cross_reg(MKey mkey2, Addr src_addr, std::size_t len) const;
   void validate_local(LKey lkey, Addr addr, std::size_t len) const;
@@ -234,7 +263,13 @@ class ProcCtx {
   sim::Notifier activity_;
   std::map<LKey, Reg> lkeys_;
   std::map<RKey, Reg> rkeys_;
-  std::map<int, std::unique_ptr<sim::Channel<CtrlMsg>>> inboxes_;
+  /// Inboxes by channel number; `type` is the body type's tag address
+  /// (see inbox()), `box` the sim::Channel<Msg<Body>>.
+  struct InboxSlot {
+    const void* type = nullptr;
+    std::shared_ptr<void> box;
+  };
+  std::map<int, InboxSlot> inboxes_;
   /// Busy-until clock of this process's data-path QP when the per-QP/
   /// per-core issue-rate cap (CostModel::dpu_qp_GBps) is active; unused
   /// (and untouched) when the cap is 0.
@@ -285,5 +320,52 @@ class Runtime {
   std::unordered_map<MKey, GvmiReg> gvmi_regs_;    // mkey -> host registration
   std::unordered_map<MKey, CrossReg> cross_regs_;  // mkey2 -> cross registration
 };
+
+/// One address per body type: the runtime identity an inbox slot records.
+template <class Body>
+inline constexpr char kBodyTag = 0;
+
+template <class Body>
+sim::Channel<Msg<Body>>& ProcCtx::inbox(Chan<Body> ch) {
+  auto [it, fresh] = inboxes_.try_emplace(ch.id);
+  if (fresh) {
+    it->second.type = &kBodyTag<Body>;
+    it->second.box = std::make_shared<sim::Channel<Msg<Body>>>(engine());
+  }
+  require(it->second.type == &kBodyTag<Body>,
+          "inbox channel opened with two different message types");
+  return *static_cast<sim::Channel<Msg<Body>>*>(it->second.box.get());
+}
+
+template <class Body>
+void ProcCtx::post_ctrl_raw(int dst_proc, Chan<Body> ch, std::type_identity_t<Body> body,
+                            std::size_t wire_bytes, std::function<void()> on_delivered) {
+  ProcCtx* dst = &peer(dst_proc);
+  const std::size_t on_wire =
+      wire_bytes + static_cast<std::size_t>(rt_.spec().cost.ctrl_msg_bytes);
+  auto msg = std::make_shared<Msg<Body>>(proc_, ch.id, on_wire, std::move(body),
+                                         ++ctrl_stamp_, SimTime{0});
+  // Under faults delivery must copy (not move) the message so a duplicated
+  // send hands a complete body to both arrivals.
+  const bool copy = rt_.fault().enabled();
+  ship(dst_proc, ch.id, on_wire, [dst, msg, copy, hook = std::move(on_delivered)] {
+    dst->deliver_to_inbox(copy ? Msg<Body>(*msg) : std::move(*msg));
+    dst->activity_.notify_all();
+    if (hook) hook();
+  });
+}
+
+template <class Body>
+std::function<void()> ProcCtx::make_imm_hook(int dst_proc, Chan<Body> ch,
+                                              std::type_identity_t<Body> imm) {
+  ProcCtx* dst = &peer(dst_proc);
+  // Hook creation is the sender's program order, hence the stamp here.
+  auto msg = std::make_shared<Msg<Body>>(proc_, ch.id, std::size_t{0}, std::move(imm),
+                                         ++ctrl_stamp_, SimTime{0});
+  return [dst, msg] {
+    dst->deliver_to_inbox(std::move(*msg));
+    dst->activity_.notify_all();
+  };
+}
 
 }  // namespace dpu::verbs

@@ -298,15 +298,15 @@ TEST(FaultFates, ContentKeyedFatesAreTieOrderInvariant) {
 // time order stays FIFO.
 // ---------------------------------------------------------------------------
 
-verbs::CtrlMsg ctrl_msg(int src, std::uint64_t stamp, SimTime delivered_at) {
-  verbs::CtrlMsg m;
+verbs::Msg<int> ctrl_msg(int src, std::uint64_t stamp, SimTime delivered_at) {
+  verbs::Msg<int> m;
   m.src = src;
   m.post_stamp = stamp;
   m.delivered_at = delivered_at;
   return m;
 }
 
-std::vector<std::pair<int, std::uint64_t>> drain(sim::Channel<verbs::CtrlMsg>& box) {
+std::vector<std::pair<int, std::uint64_t>> drain(sim::Channel<verbs::Msg<int>>& box) {
   std::vector<std::pair<int, std::uint64_t>> out;
   while (auto m = box.try_recv()) out.emplace_back(m->src, m->post_stamp);
   return out;
@@ -314,7 +314,7 @@ std::vector<std::pair<int, std::uint64_t>> drain(sim::Channel<verbs::CtrlMsg>& b
 
 TEST(InboxOrdering, SameTimeArrivalsSortBySenderAndStamp) {
   sim::Engine eng;
-  sim::Channel<verbs::CtrlMsg> box(eng);
+  sim::Channel<verbs::Msg<int>> box(eng);
   // Adversarial arrival order at one instant: the drain order must be the
   // canonical (src, stamp) order no matter how the tie was dispatched.
   box.send_before(ctrl_msg(1, 7, 100), verbs::inbox_before);
@@ -327,7 +327,7 @@ TEST(InboxOrdering, SameTimeArrivalsSortBySenderAndStamp) {
 
 TEST(InboxOrdering, DistinctTimesStayFifoEvenAgainstKeyOrder) {
   sim::Engine eng;
-  sim::Channel<verbs::CtrlMsg> box(eng);
+  sim::Channel<verbs::Msg<int>> box(eng);
   box.send_before(ctrl_msg(5, 1, 100), verbs::inbox_before);  // earlier time, "late" key
   box.send_before(ctrl_msg(0, 0, 200), verbs::inbox_before);  // later time, "early" key
   const std::vector<std::pair<int, std::uint64_t>> want = {{5, 1}, {0, 0}};
@@ -336,7 +336,7 @@ TEST(InboxOrdering, DistinctTimesStayFifoEvenAgainstKeyOrder) {
 
 TEST(InboxOrdering, DuplicateDeliveriesKeepArrivalOrder) {
   sim::Engine eng;
-  sim::Channel<verbs::CtrlMsg> box(eng);
+  sim::Channel<verbs::Msg<int>> box(eng);
   // A duplicated fault delivery lands the same (src, stamp) twice; equal
   // keys must be stable so the dup filter sees a deterministic sequence.
   auto a = ctrl_msg(2, 4, 100);

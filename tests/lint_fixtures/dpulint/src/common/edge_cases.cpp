@@ -39,4 +39,18 @@ void fake_waiver_string() {
   consume(w, real);
 }
 
+// Code sharing a line with a comment or literal, one case per way the
+// lexer could swallow it: each plant must still be seen, at its own line.
+void code_beside_literals(int a) {
+  int x = 0;  // std::mutex in a trailing comment is not code
+  /* rand() */ std::mutex after_block;  // expect: thread
+  /* multi
+     line rand() */ std::mutex after_multiline_block;  // expect: thread
+  const char* s = "// not a comment"; srand(1);  // expect: wall-clock
+  auto r = R"(std::thread inside)"; std::mutex after_raw;  // expect: thread
+  char q = '"'; long t = time(0);  // expect: wall-clock
+  const char* e = "esc \" quote"; clock_gettime(a);  // expect: wall-clock
+  consume(x, after_block, after_multiline_block, s, r, after_raw, q, t, e);
+}
+
 }  // namespace fixture

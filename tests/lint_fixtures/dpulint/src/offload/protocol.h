@@ -1,23 +1,22 @@
 // dpulint self-test fixture: a miniature protocol header with planted
-// proto-field and handler-exhaustive violations. Never compiled — only
-// lexed by `dpulint --self-test`. An expect-comment (rule names after the
-// colon) marks a line the analyzer MUST flag; unmarked lines must be clean.
+// proto-field and nodiscard violations. Never compiled — only lexed by
+// `dpulint --self-test`. An expect-comment (rule names after the colon)
+// marks a line the analyzer MUST flag; unmarked lines must be clean.
 #pragma once
 
 namespace fixture {
+
+/// Clean twin of the planted nodiscard violation in status_legacy.h.
+enum class [[nodiscard]] Status { kOk, kDegraded };
 
 enum class MsgKind {
   kPing,
   kPong,
   kBadTenant,
-  kDupClaimed,  // expect: handler-exhaustive
-  kOrphanStruct,
-  kLostKind,  // expect: handler-exhaustive
   kWaivedTenant,
-  kBatchedOnly,
 };
 
-/// Fully conforming wire message: tagged, tenant-scoped, dispatched.
+/// Fully conforming wire message: tagged and tenant-scoped.
 struct PingMsg {
   static constexpr MsgKind kKind = MsgKind::kPing;
   int src_rank = -1;
@@ -39,34 +38,11 @@ struct BadTenantMsg {
   static int live_count;  // expect: proto-field
 };
 
-/// Planted: two structs claim kDupClaimed (finding lands on the enumerator).
-struct DupAMsg {
-  static constexpr MsgKind kKind = MsgKind::kDupClaimed;
-  int tenant = 0;
-};
-struct DupBMsg {
-  static constexpr MsgKind kKind = MsgKind::kDupClaimed;
-  int tenant = 0;
-};
-
-/// Planted: conforming message that no dispatch chain ever any_casts.
-struct OrphanStructMsg {
-  static constexpr MsgKind kKind = MsgKind::kOrphanStruct;  // expect: handler-exhaustive
-  int tenant = 0;
-};
-
 /// Waived: structurally tenant-free, with the reason on record.
 // lint: proto-field ok: fixture message keyed by globally unique rank
 struct WaivedTenantMsg {
   static constexpr MsgKind kKind = MsgKind::kWaivedTenant;
   int host_rank = -1;
-};
-
-/// Waived: only ever travels inside another message, so no dispatch site.
-struct BatchedOnlyMsg {
-  // lint: handler-exhaustive ok: rides inside PingMsg batches in this fixture
-  static constexpr MsgKind kKind = MsgKind::kBatchedOnly;
-  int tenant = 0;
 };
 
 /// Untagged helper struct: not a wire message, exempt from proto-field

@@ -216,11 +216,10 @@ TEST(DpuGvmiCacheTest, CrossRegistrationCachedPerHostRank) {
 
 // ---------------------------------------------------------------------------
 // Wire-message registry (protocol.h). The kKind tags are what tools/dpulint
-// keys its proto-field and handler-exhaustive rules off; pin the mapping so
-// a retag is a deliberate, test-visible change.
+// keys its proto-field rule off; pin the mapping so a retag is a deliberate,
+// test-visible change.
 // ---------------------------------------------------------------------------
 
-static_assert(ReliableMsg::kKind == MsgKind::kReliable);
 static_assert(RtsProxyMsg::kKind == MsgKind::kRtsProxy);
 static_assert(RtrProxyMsg::kKind == MsgKind::kRtrProxy);
 static_assert(ChunkWorkMsg::kKind == MsgKind::kChunkWork);
@@ -255,13 +254,13 @@ TEST(WireRegistryTest, TenantDefaultsToZero) {
 
 TEST(WireRegistryTest, KindNamesAreUniqueAndNamed) {
   std::set<std::string> names;
-  for (int k = static_cast<int>(MsgKind::kReliable);
+  for (int k = static_cast<int>(MsgKind::kRtsProxy);
        k <= static_cast<int>(MsgKind::kSendDelivered); ++k) {
     const char* n = kind_name(static_cast<MsgKind>(k));
     EXPECT_STRNE(n, "?") << "enumerator " << k << " missing from kind_name()";
     EXPECT_TRUE(names.insert(n).second) << "duplicate kind name " << n;
   }
-  EXPECT_EQ(names.size(), 20u);
+  EXPECT_EQ(names.size(), 19u);
   EXPECT_STREQ(kind_name(RtsProxyMsg::kKind), "RtsProxy");
   EXPECT_STREQ(kind_name(CreditBatchMsg::kKind), "CreditBatch");
 }

@@ -4,6 +4,9 @@
 
 #include <functional>
 #include <memory>
+#include <numeric>
+#include <string>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/check.h"
@@ -22,10 +25,12 @@ struct Fixture {
   std::unique_ptr<fabric::Fabric> fab;
   std::unique_ptr<Runtime> rt;
 
-  explicit Fixture(int nodes = 2, int ppn = 2, int proxies = 1) {
+  explicit Fixture(int nodes = 2, int ppn = 2, int proxies = 1,
+                   machine::FaultSpec fault = {}) {
     spec.nodes = nodes;
     spec.host_procs_per_node = ppn;
     spec.proxies_per_dpu = proxies;
+    spec.fault = std::move(fault);
     fab = std::make_unique<fabric::Fabric>(eng, spec);
     rt = std::make_unique<Runtime>(eng, spec, *fab);
   }
@@ -291,11 +296,13 @@ TEST(Verbs, CtrlMessageArrivesInInbox) {
   f.drive([](Fixture& f) -> sim::Task<void> {
     auto& a = f.rt->ctx(0);
     auto& b = f.rt->ctx(2);
-    co_await a.post_ctrl(2, /*channel=*/7, std::string("hello"), 16);
-    auto msg = co_await b.inbox(7).recv();
+    const verbs::Chan<std::string> ch{7};
+    std::string hello = "hello";
+    co_await a.post_ctrl(2, ch, std::move(hello), 16);
+    auto msg = co_await b.inbox(ch).recv();
     EXPECT_EQ(msg.src, 0);
     EXPECT_EQ(msg.channel, 7);
-    EXPECT_EQ(std::any_cast<std::string>(msg.body), "hello");
+    EXPECT_EQ(msg.body, "hello");
     EXPECT_GT(msg.wire_bytes, 16u);  // envelope included
   }(f));
 }
@@ -305,12 +312,41 @@ TEST(Verbs, CtrlMessagesPreserveOrderPerChannel) {
   f.drive([](Fixture& f) -> sim::Task<void> {
     auto& a = f.rt->ctx(0);
     auto& b = f.rt->ctx(2);
-    for (int i = 0; i < 5; ++i) co_await a.post_ctrl(2, 1, i, 8);
+    const verbs::Chan<int> ch{1};
+    for (int i = 0; i < 5; ++i) co_await a.post_ctrl(2, ch, i, 8);
     for (int i = 0; i < 5; ++i) {
-      auto msg = co_await b.inbox(1).recv();
-      EXPECT_EQ(std::any_cast<int>(msg.body), i);
+      auto msg = co_await b.inbox(ch).recv();
+      EXPECT_EQ(msg.body, i);
     }
   }(f));
+}
+
+TEST(Verbs, DuplicatedCtrlMessageLandsTwiceWithTheFullBody) {
+  // The fault plan duplicates every message on channel 7. Delivery copies
+  // the message, so both arrivals carry the complete body: a copy moved
+  // from by the first delivery would reach the inbox empty.
+  machine::FaultSpec dup_all;
+  dup_all.enabled = true;
+  dup_all.dup_prob = 1.0;
+  dup_all.channels = {7};
+  Fixture f(2, 2, 1, dup_all);
+  f.drive([](Fixture& f) -> sim::Task<void> {
+    const Chan<std::vector<int>> ch{7};
+    std::vector<int> sent(64);
+    std::iota(sent.begin(), sent.end(), 100);
+    std::vector<int> body = sent;
+    co_await f.rt->ctx(0).post_ctrl(2, ch, std::move(body), 256);
+    auto& box = f.rt->ctx(2).inbox(ch);
+    auto first = co_await box.recv();
+    auto second = co_await box.recv();
+    EXPECT_EQ(first.body, sent);
+    EXPECT_EQ(second.body, sent);
+    EXPECT_EQ(first.src, second.src);
+    EXPECT_EQ(first.post_stamp, second.post_stamp);  // one send, two copies
+    EXPECT_EQ(first.wire_bytes, second.wire_bytes);
+    EXPECT_TRUE(box.empty());
+  }(f));
+  EXPECT_EQ(f.eng.metrics().counter_value("fault.dups"), 1u);
 }
 
 TEST(Verbs, FlagWriteSetsRemoteEvent) {
@@ -360,12 +396,13 @@ TEST(Verbs, WriteWithImmediateDeliversDataAndNotification) {
     a.mem().write(src, pattern_bytes(3, 2_KiB));
     auto src_mr = co_await a.reg_mr(src, 2_KiB);
     auto dst_mr = co_await b.reg_mr(dst, 2_KiB);
-    std::any imm = std::string("imm-payload");
+    const verbs::Chan<std::string> imm_ch{9};
+    std::string imm = "imm-payload";
     auto c = co_await a.post_rdma_write_imm(src_mr.lkey, src, 2, dst_mr.rkey, dst, 2_KiB,
-                                            /*imm_channel=*/9, std::move(imm));
+                                            imm_ch, std::move(imm));
     // Immediate is consumed from the destination inbox, data already placed.
-    auto msg = co_await b.inbox(9).recv();
-    EXPECT_EQ(std::any_cast<std::string>(msg.body), "imm-payload");
+    auto msg = co_await b.inbox(imm_ch).recv();
+    EXPECT_EQ(msg.body, "imm-payload");
     EXPECT_TRUE(check_pattern(b.mem().read(dst, 2_KiB), 3));
     co_await a.wait(c);
   }(f));

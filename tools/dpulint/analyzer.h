@@ -35,7 +35,6 @@ struct WireStruct {
   std::string name;
   int line = 0;       // struct declaration line
   std::string enumerator;
-  int kind_line = 0;  // the kKind member's line (handler waivers sit here)
   bool has_tenant = false;
   bool tenant_ok = false;       // exactly `int tenant = 0;`
   int tenant_line = 0;
@@ -48,12 +47,8 @@ struct Index {
   std::vector<FileUnit> files;
 
   // ---- protocol registry (src/offload/protocol.h) -------------------------
-  std::vector<std::pair<std::string, int>> msg_kinds;  // enumerator, line
   std::vector<WireStruct> wire_structs;
   const FileUnit* protocol_file = nullptr;
-
-  /// Types appearing in `any_cast<...>` across src/ — the dispatch sites.
-  std::set<std::string> dispatched_types;
 
   // ---- metric registry links across src/ ----------------------------------
   struct LinkSite {
@@ -89,7 +84,7 @@ Index build_index(const std::string& root);
 std::vector<Finding> run_rules(const Index& idx);
 
 /// True when a `// lint: <rule> ok: <reason>` comment sits on `line` or the
-/// five lines above it (the shared waiver syntax of scripts/lint.py).
+/// five lines above it.
 bool waived(const FileUnit& f, int line, const std::string& rule);
 
 }  // namespace dpulint

@@ -44,26 +44,11 @@ std::size_t match_paren_fwd(const std::vector<Token>& t, std::size_t open) {
   return std::string::npos;
 }
 
-/// Extracts the MsgKind enumerators and the wire-struct registry from the
-/// protocol header (real tree or self-test fixture tree).
+/// Extracts the wire-struct registry from the protocol header (real tree or
+/// self-test fixture tree).
 void scan_protocol(const FileUnit& f, Index& idx) {
   const auto& t = f.lx.tokens;
   for (std::size_t i = 0; i < t.size(); ++i) {
-    // enum class MsgKind { kA, kB = 3, ... };
-    if (is_ident(t[i]) && t[i].text == "enum") {
-      std::size_t j = i + 1;
-      if (j < t.size() && is_ident(t[j]) &&
-          (t[j].text == "class" || t[j].text == "struct"))
-        ++j;
-      if (j >= t.size() || !is_ident(t[j]) || t[j].text != "MsgKind") continue;
-      while (j < t.size() && !is_punct(t[j], "{") && !is_punct(t[j], ";")) ++j;
-      if (j >= t.size() || !is_punct(t[j], "{")) continue;
-      for (std::size_t k = j + 1; k < t.size() && !is_punct(t[k], "}"); ++k) {
-        if (is_ident(t[k]) && (k == j + 1 || is_punct(t[k - 1], ",")))
-          idx.msg_kinds.emplace_back(t[k].text, t[k].line);
-      }
-      continue;
-    }
     // struct Name ... { members };
     if (is_ident(t[i]) && (t[i].text == "struct" || t[i].text == "class") &&
         i + 1 < t.size() && is_ident(t[i + 1])) {
@@ -113,7 +98,6 @@ void scan_protocol(const FileUnit& f, Index& idx) {
             t[run[2]].text == "MsgKind" && is_ident(t[run[3]]) &&
             t[run[3]].text == "kKind") {
           ws.enumerator = t[run.back()].text;
-          ws.kind_line = t[run[3]].line;
         } else if (is_static && !has_constexpr_or_const) {
           ws.static_member_lines.push_back(first.line);
         }
@@ -139,22 +123,13 @@ void scan_protocol(const FileUnit& f, Index& idx) {
   }
 }
 
-/// First symbol pass over one file: dispatch sites, metric links, and
-/// declaration sites of (possibly) Status-returning methods.
+/// First symbol pass over one file: metric links and declaration sites of
+/// (possibly) Status-returning methods.
 void scan_symbols(const FileUnit& f, Index& idx,
                   std::set<std::string>& nonstatus_decls) {
   const auto& t = f.lx.tokens;
   bool in_src = f.top == "src";
   for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-    // any_cast<Type> — dispatch index (product code only).
-    if (in_src && is_ident(t[i]) && t[i].text == "any_cast" &&
-        is_punct(t[i + 1], "<")) {
-      std::string last;
-      for (std::size_t k = i + 2; k < t.size() && !is_punct(t[k], ">"); ++k)
-        if (is_ident(t[k])) last = t[k].text;
-      if (!last.empty()) idx.dispatched_types.insert(last);
-    }
-
     // reg.link("name", ...) / reg.link(prefix + "name", ...)
     if (in_src && is_ident(t[i]) && t[i].text == "link" && i > 0 &&
         (is_punct(t[i - 1], ".") || is_punct(t[i - 1], "->")) &&

@@ -1,9 +1,8 @@
 // The rule catalogue. Token rules (wall-clock, raw-post, ev-alloc, thread,
-// fallback-ctx) are ports of the scripts/lint.py regex rules onto the token
-// stream, so string/comment false positives are structurally impossible.
-// The cross-file rules (proto-field, handler-exhaustive, layer-dag,
-// await-status, repo-wide metric-dup) need the symbol index and are the
-// reason this tool exists — no single-line regex can express them.
+// fallback-ctx, nodiscard) run on the token stream, so string/comment false
+// positives are structurally impossible. The cross-file rules (proto-field,
+// layer-dag, await-status, repo-wide metric-dup) need the symbol index and
+// are the reason this tool exists — no single-line regex can express them.
 #include <algorithm>
 #include <cctype>
 #include <map>
@@ -192,6 +191,25 @@ void token_rules(Ctx& c, const FileUnit& f) {
             "raw threading primitive outside src/sim/shard.*: route "
             "concurrency through ShardScheduler, or add "
             "'// lint: thread ok: <reason>'");
+
+    // ---- nodiscard (src only) -----------------------------------------------
+    // `enum [class] [[attrs]] Status`: the completion status must carry
+    // [[nodiscard]] so -Werror=unused-result rejects every ignored result.
+    if (in_src && is_ident(tok, "enum")) {
+      std::size_t j = i + 1;
+      if (j < t.size() && (is_ident(t[j], "class") || is_ident(t[j], "struct"))) ++j;
+      bool nodiscard = false;
+      while (j + 1 < t.size() && is_punct(t[j], "[") && is_punct(t[j + 1], "[")) {
+        for (j += 2; j < t.size() && !is_punct(t[j], "]"); ++j)
+          nodiscard = nodiscard || is_ident(t[j], "nodiscard");
+        j += 2;  // "]]"
+      }
+      if (j < t.size() && is_ident(t[j], "Status") && !nodiscard)
+        c.add(f, tok.line, "nodiscard",
+              "'enum class Status' must be declared "
+              "'enum class [[nodiscard]] Status': an ignored completion status "
+              "is a silent-failover bug");
+    }
 
     // ---- fallback-ctx (everywhere, protocol.h exempt) -----------------------
     if (!fallback_exempt && tok.kind == Tok::kNumber && i >= 1 &&
@@ -386,44 +404,6 @@ void proto_field(Ctx& c) {
   }
 }
 
-void handler_exhaustive(Ctx& c) {
-  const Index& idx = c.idx;
-  if (!idx.protocol_file || idx.msg_kinds.empty()) return;
-  const FileUnit& pf = *idx.protocol_file;
-  std::map<std::string, int> claims;  // enumerator -> #structs tagging it
-  for (const WireStruct& ws : idx.wire_structs)
-    if (!ws.enumerator.empty()) ++claims[ws.enumerator];
-
-  std::map<std::string, int> enum_lines;
-  for (const auto& [name, line] : idx.msg_kinds) {
-    enum_lines[name] = line;
-    int n = claims.count(name) ? claims[name] : 0;
-    if (n == 0)
-      c.add(pf, line, "handler-exhaustive",
-            "MsgKind::" + name +
-                " has no wire struct declaring `kKind = MsgKind::" + name +
-                "`: every message kind must map to exactly one struct");
-    else if (n > 1)
-      c.add(pf, line, "handler-exhaustive",
-            "MsgKind::" + name + " is claimed by " + std::to_string(n) +
-                " wire structs: kinds must be unique");
-  }
-  for (const WireStruct& ws : idx.wire_structs) {
-    if (ws.enumerator.empty()) continue;
-    if (!enum_lines.count(ws.enumerator))
-      c.add(pf, ws.kind_line, "handler-exhaustive",
-            "wire message '" + ws.name + "' tags unknown enumerator MsgKind::" +
-                ws.enumerator);
-    else if (!idx.dispatched_types.count(ws.name))
-      c.add(pf, ws.kind_line, "handler-exhaustive",
-            "wire message '" + ws.name +
-                "' has no any_cast<" + ws.name +
-                "> dispatch site anywhere in src/: an undispatched kind "
-                "rots in every inbox; handle it or say why with "
-                "'// lint: handler-exhaustive ok: <reason>'");
-  }
-}
-
 }  // namespace
 
 std::vector<Finding> run_rules(const Index& idx) {
@@ -436,7 +416,6 @@ std::vector<Finding> run_rules(const Index& idx) {
   }
   metric_dup(c);
   proto_field(c);
-  handler_exhaustive(c);
   std::sort(out.begin(), out.end(), [](const Finding& a, const Finding& b) {
     return std::tie(a.file, a.line, a.rule, a.message) <
            std::tie(b.file, b.line, b.rule, b.message);
