@@ -32,10 +32,8 @@
 #include "common/table.h"
 #include "common/units.h"
 #include "fabric/fabric.h"
-#include "fabric/shard_fabric.h"
 #include "machine/spec.h"
 #include "sim/engine.h"
-#include "sim/shard.h"
 
 namespace {
 
@@ -48,7 +46,6 @@ struct Config {
   int spines = 8;
   int leaf_radix = 32;
   double oversub = 2.0;
-  int shards = 0;  ///< 0 = legacy Fabric path; >= 1 = sharded split-phase path
 };
 
 struct Result {
@@ -97,65 +94,6 @@ Result run(const Config& c) {
   return res;
 }
 
-// Sharded twin of run(): same stripe schedule, same window, driven through
-// ShardScheduler + ShardFabric. One rank per node, so rank == node and the
-// island of a rank is the island of its node. All mutable bench state is
-// per-rank (round cursors) or per-island (message counters): islands may
-// run on worker threads.
-Result run_sharded(const Config& c) {
-  machine::ClusterSpec spec;
-  spec.nodes = c.ranks;
-  spec.host_procs_per_node = 1;
-  spec.proxies_per_dpu = 0;
-  spec.topology.spines = c.spines;
-  spec.topology.leaf_radix = c.leaf_radix;
-  spec.topology.oversubscription = c.oversub;
-  spec.shards = c.shards;
-
-  sim::ShardScheduler sched(static_cast<std::size_t>(c.shards),
-                            fabric::ShardFabric::lookahead_for(spec));
-  fabric::ShardFabric fab(sched, spec);
-
-  std::vector<int> round(static_cast<std::size_t>(c.ranks), 1);
-  std::vector<std::uint64_t> msgs(static_cast<std::size_t>(c.shards), 0);
-  auto post_next = [&](std::size_t island, int r) {
-    auto& rd = round[static_cast<std::size_t>(r)];
-    if (rd >= c.ranks) return;
-    const int dst = (r + rd) % c.ranks;
-    ++rd;
-    ++msgs[island];
-    fab.transfer(r, dst, c.bytes, static_cast<std::uint64_t>(r), r);
-  };
-  for (std::size_t i = 0; i < sched.islands(); ++i) {
-    fab.set_on_delivered(i, [&, i](std::uint64_t token) {
-      post_next(i, static_cast<int>(token));
-    });
-    // One t=0 event per island posts its ranks' initial windows; the
-    // instant's batch is arbitrated by requester anyway, so batching the
-    // posts changes nothing and keeps startup off the per-rank path.
-    sched.engine(i).schedule_at(0, [&, i] {
-      for (int r = 0; r < c.ranks; ++r) {
-        if (fab.island_of_node(r) != static_cast<int>(i)) continue;
-        for (int w = 0; w < c.window && w < c.ranks - 1; ++w) post_next(i, r);
-      }
-    });
-  }
-
-  const auto wall0 = std::chrono::steady_clock::now();
-  const auto outcome = sched.run();
-  const auto wall1 = std::chrono::steady_clock::now();
-
-  Result res;
-  res.completed = outcome == sim::RunResult::kCompleted;
-  res.virtual_end = sched.virtual_end();
-  for (std::size_t i = 0; i < sched.islands(); ++i) {
-    res.events += sched.engine(i).events_executed();
-    res.messages += msgs[i];
-  }
-  res.wall_sec = std::chrono::duration<double>(wall1 - wall0).count();
-  return res;
-}
-
 long long arg_of(const char* a, const char* key) {
   const std::size_t n = std::strlen(key);
   if (std::strncmp(a, key, n) != 0) return -1;
@@ -184,8 +122,6 @@ int main(int argc, char** argv) {
       c.leaf_radix = static_cast<int>(v);
     } else if ((v = arg_of(a, "--oversub=")) >= 0) {
       c.oversub = static_cast<double>(v);
-    } else if ((v = arg_of(a, "--shards=")) >= 0) {
-      c.shards = static_cast<int>(v);
     } else {
       std::cerr << "unknown arg: " << a << "\n";
       return 2;
@@ -197,11 +133,10 @@ int main(int argc, char** argv) {
             << "scale_alltoall — striped alltoall on a k-ary fat-tree\n"
             << "ranks=" << c.ranks << " bytes/pair=" << c.bytes
             << " window=" << c.window << " spines=" << c.spines
-            << " leaf_radix=" << c.leaf_radix << " oversub=" << c.oversub << ":1"
-            << " shards=" << (c.shards > 0 ? std::to_string(c.shards) : "off") << "\n"
+            << " leaf_radix=" << c.leaf_radix << " oversub=" << c.oversub << ":1\n"
             << "==============================================================\n";
 
-  const Result r = c.shards > 0 ? run_sharded(c) : run(c);
+  const Result r = run(c);
   const double mev_s = r.wall_sec > 0 ? static_cast<double>(r.events) / r.wall_sec / 1e6 : 0;
   const double mmsg_s =
       r.wall_sec > 0 ? static_cast<double>(r.messages) / r.wall_sec / 1e6 : 0;
@@ -211,11 +146,7 @@ int main(int argc, char** argv) {
   t.add_row({"events executed", std::to_string(r.events)});
   t.add_row({"simulated time (ms)", Table::num(to_ms(r.virtual_end), 3)});
   t.add_row({"wall clock (s)", Table::num(r.wall_sec, 2)});
-  // Sharded runs deliver driver-direct (DESIGN.md §13): almost nothing is an
-  // engine event, so Mev/s would be a misleading ~0 — Mmsg/s is the
-  // comparable throughput number across both paths.
-  t.add_row({"engine throughput (Mev/s)",
-             c.shards > 0 ? "n/a (driver-direct)" : Table::num(mev_s, 1)});
+  t.add_row({"engine throughput (Mev/s)", Table::num(mev_s, 1)});
   t.add_row({"message throughput (Mmsg/s)", Table::num(mmsg_s, 2)});
   t.print(std::cout);
 

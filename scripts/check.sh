@@ -40,7 +40,7 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 # The fault-injection suite is the one place drop/dup/delay recovery paths
 # (retransmit timers, sequence headers, dup suppression) execute; run it as
 # its own sanitized pass so a fault-path memory bug can never hide behind a
-# sharded ctest summary.
+# parallel ctest summary.
 echo "== fault-injection suite (sanitized) =="
 "$BUILD_DIR"/tests/fault_test
 
@@ -81,17 +81,6 @@ echo "== ablation_tenants smoke (sanitized) =="
 # time dispatch order — fails the gate, not just the nightly full matrix.
 echo "== tie-shuffle determinism smoke (fast mode, sanitized) =="
 DPU_BENCH_FAST=1 "$BUILD_DIR"/bench/ablation_determinism > /dev/null
-
-# ThreadSanitizer pass over the sharded-execution suite: the ShardScheduler
-# worker pool is the one place real threads touch simulation state (enforced
-# by the dpulint `thread` rule), and ASan cannot see data races.
-# Only the shard suite is built in tsan mode — a full second sanitized tree
-# would double the gate's cost for zero extra coverage.
-echo "== shard suite (ThreadSanitizer) =="
-TSAN_DIR=build-tsan
-cmake -B "$TSAN_DIR" -S . -DDPU_SANITIZE=tsan > /dev/null
-cmake --build "$TSAN_DIR" -t shard_test -j "$JOBS"
-"$TSAN_DIR"/tests/shard_test
 
 if [[ "${1:-}" == "--fast" ]]; then
   echo "== fig/ablation benches (fast mode, sanitized) =="

@@ -112,16 +112,4 @@ std::string MetricsRegistry::to_json() const {
   return os.str();
 }
 
-void MetricsRegistry::merge_from(const MetricsRegistry& other) {
-  other.for_each_counter([this](const std::string& name, std::uint64_t v) {
-    // counter() refuses names linked to component-owned slots, which is
-    // exactly the single-registration invariant under sharded finalize.
-    counter(name) += v;
-  });
-  other.for_each_gauge([this](const std::string& name, double v) {
-    auto [it, inserted] = gauges_.emplace(name, v);
-    if (!inserted && v > it->second) it->second = v;
-  });
-}
-
 }  // namespace dpu::metrics

@@ -100,15 +100,6 @@ class MetricsRegistry {
   void write_json(std::ostream& os) const;
   std::string to_json() const;
 
-  /// Sharded-finalize merge: folds `other` into this registry. Counters
-  /// accumulate by name into registry-owned slots (visited in sorted order,
-  /// so merging islands in island order is deterministic); gauges keep the
-  /// maximum (levels like sim.now_us resolve to the global extent). The
-  /// single-registration invariant holds: a name linked to a component slot
-  /// in this registry cannot also be merged into — that would double-count
-  /// a counter the component still owns — and trips the usual require().
-  void merge_from(const MetricsRegistry& other);
-
  private:
   std::map<std::string, std::unique_ptr<Counter>> owned_;
   std::map<std::string, const Counter*> linked_;

@@ -135,14 +135,10 @@ void Fabric::settle() {
                    });
   for (auto& p : batch) {
     const SimTime end = plan_transfer(p.src_node, p.dst_node, p.bytes, p.to_host);
-    if (p.waiter) {
-      eng_.resume_at(end, p.waiter);
-    } else {
-      eng_.schedule_at(end, std::move(cb_slots_[p.cb_slot]));
-      // The moved-from slot needs no reset: the next occupant's assignment
-      // destroys any residue.
-      cb_free_.push_back(p.cb_slot);
-    }
+    eng_.schedule_at(end, std::move(cb_slots_[p.cb_slot]));
+    // The moved-from slot needs no reset: the next occupant's assignment
+    // destroys any residue.
+    cb_free_.push_back(p.cb_slot);
   }
 }
 
@@ -156,27 +152,6 @@ void Fabric::transfer(int src_node, int dst_node, std::size_t bytes,
   p.requester = requester;
   p.cb_slot = park_callback(std::move(on_delivered));
   enqueue(p);
-}
-
-sim::Task<void> Fabric::transfer_await(int src_node, int dst_node, std::size_t bytes,
-                                       bool to_host, int requester) {
-  struct Awaiter {
-    Fabric& fab;
-    PendingXfer p;
-    bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) {
-      p.waiter = h;
-      fab.enqueue(std::move(p));
-    }
-    void await_resume() const noexcept {}
-  };
-  PendingXfer p;
-  p.src_node = src_node;
-  p.dst_node = dst_node;
-  p.bytes = bytes;
-  p.to_host = to_host;
-  p.requester = requester;
-  co_await Awaiter{*this, std::move(p)};
 }
 
 SimDuration Fabric::uncontended_time(int src_node, int dst_node, std::size_t bytes) const {

@@ -23,13 +23,9 @@
 // non-blocking and models no core ports at all — byte-identical to the old
 // flat single-switch fabric (regression-pinned in tests/topology_test.cpp).
 //
-// Both transfer flavours share one planning core (`plan_transfer`) that
-// advances the port clocks and returns the delivery time. The coroutine
-// flavour is the primary path: the awaiting frame is resumed directly at
-// the planned time, with no completion Event, closure, or heap traffic.
-// The callback flavour exists for initiators that must run side-effects at
-// delivery on behalf of another process (the verbs layer) and routes
-// through the same core.
+// A transfer's delivery callback runs at the time the planning core
+// (`plan_transfer`) computes by advancing the port clocks; the callback is
+// parked in a recycled slot pool until arbitration books it.
 //
 // Link arbitration: requests are not booked at call time. They are
 // collected per virtual instant and granted at the end of that instant in
@@ -43,7 +39,6 @@
 // priority, not by software call order.
 #pragma once
 
-#include <coroutine>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -51,8 +46,6 @@
 #include "common/metrics.h"
 #include "machine/spec.h"
 #include "sim/engine.h"
-#include "sim/sync.h"
-#include "sim/task.h"
 
 namespace dpu::fabric {
 
@@ -80,11 +73,6 @@ class Fabric {
                 std::function<void()> on_delivered, bool to_host = false,
                 int requester = -1);
 
-  /// Coroutine flavour (primary path): completes at delivery time without
-  /// allocating.
-  sim::Task<void> transfer_await(int src_node, int dst_node, std::size_t bytes,
-                                 bool to_host = false, int requester = -1);
-
   /// Latency-only estimate of an uncontended transfer (used by tests and
   /// calibration, never by protocol logic).
   SimDuration uncontended_time(int src_node, int dst_node, std::size_t bytes) const;
@@ -99,21 +87,17 @@ class Fabric {
     SimTime free_at = 0;
   };
 
-  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
-
-  /// A transfer request awaiting end-of-instant arbitration. Exactly one of
-  /// `cb_slot` / `waiter` is set (callback vs coroutine flavour); the
-  /// callback itself lives in the pooled `cb_slots_` storage, so this
-  /// record stays trivially copyable and the per-instant stable sort moves
-  /// 32-byte values instead of type-erased closures.
+  /// A transfer request awaiting end-of-instant arbitration. The callback
+  /// itself lives in the pooled `cb_slots_` storage, so this record stays
+  /// trivially copyable and the per-instant stable sort moves 32-byte values
+  /// instead of type-erased closures.
   struct PendingXfer {
     int src_node = 0;
     int dst_node = 0;
     std::size_t bytes = 0;
     int requester = -1;
-    std::uint32_t cb_slot = kNoSlot;
+    std::uint32_t cb_slot = 0;
     bool to_host = false;
-    std::coroutine_handle<> waiter;
   };
   static_assert(std::is_trivially_copyable_v<PendingXfer>);
 

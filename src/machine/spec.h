@@ -265,7 +265,6 @@ struct Topology {
   int leaf_radix = 0;
   int spines = 0;
   int leaves = 0;
-  int shards = 1;  ///< event islands for sharded execution (1 = sequential)
   double oversubscription = 1.0;
   double link_GBps = 0.0;
 
@@ -275,11 +274,6 @@ struct Topology {
   bool core_active() const { return spines > 1 || oversubscription > 1.0; }
 
   int leaf_of(int node) const { return node / leaf_radix; }
-  /// Event island owning `node`: islands are contiguous blocks of whole
-  /// leaves (shards must divide leaves), so every intra-leaf link is
-  /// island-local and only spine hops cross islands — which is what lets
-  /// the shard scheduler derive its lookahead from the cross-leaf latency.
-  int island_of(int node) const { return leaf_of(node) / (leaves / shards); }
   /// d-mod-k path selection: the spine is a pure function of the
   /// destination, so all traffic to one node shares a core path (no
   /// reordering) and destinations stripe evenly across spines.
@@ -296,12 +290,6 @@ struct ClusterSpec {
   int nodes = 2;
   int host_procs_per_node = 1;  ///< "PPN"
   int proxies_per_dpu = 1;      ///< worker processes launched on each DPU
-  /// Event islands for sharded execution: the cluster is partitioned into
-  /// `shards` contiguous leaf groups, each simulated on its own island
-  /// (sim::ShardScheduler / fabric::ShardFabric). 1 = classic sequential
-  /// run. Must divide the leaf count; > 1 additionally requires a nonzero
-  /// cross-leaf wire latency, which bounds the conservative lookahead.
-  int shards = 1;
   TopologySpec topology;
   CostModel cost;
   FaultSpec fault;
@@ -459,17 +447,6 @@ struct ClusterSpec {
                       "node count not divisible into equal leaves");
     }
     t.leaves = (nodes + t.leaf_radix - 1) / t.leaf_radix;
-    if (shards < 1) throw SpecError("ClusterSpec.shards", "must be >= 1");
-    if (t.leaves % shards != 0) {
-      throw SpecError("ClusterSpec.shards",
-                      "leaf count " + std::to_string(t.leaves) + " not divisible into " +
-                          std::to_string(shards) + " islands");
-    }
-    if (shards > 1 && !(cost.wire_latency_us > 0.0)) {
-      throw SpecError("ClusterSpec.shards",
-                      "sharded execution needs a nonzero cross-leaf latency for lookahead");
-    }
-    t.shards = shards;
     if (!tenants.empty()) {
       // owner[r] = tenant index, -1 = unclaimed. Every host rank must be
       // claimed exactly once; a rank the modulo mapping used to mis-assign

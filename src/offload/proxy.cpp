@@ -744,11 +744,13 @@ sim::Task<bool> Proxy::advance_one(JobInstance& job) {
 
 sim::Task<void> Proxy::grant_credits(const JobInstance& job) {
   // Receive-readiness credits for the NEXT run of this request, batched per
-  // source-side proxy (the fig. 10 counter exchange). Granted when this
-  // instance finished using the buffers — recorded group buffers behave
-  // like MPI persistent requests: they stay "posted" across calls, so the
-  // sender's next run may target them as soon as this run is done with
-  // them, without waiting for the destination host's next group_call.
+  // source-side proxy (the fig. 10 counter exchange). Granted as soon as
+  // this proxy's instance completes, not when the destination host re-arms
+  // its receives with the next group_call. This is not MPI persistent-
+  // request semantics, where only MPI_Start re-arms a receive: a sender's
+  // next run may overwrite a receive buffer after the host's group_wait
+  // returned and before it calls group_call again, so a host still reading
+  // that buffer can observe next-run data (an open defect, see ROADMAP.md).
   std::map<int, CreditBatchMsg> batches;
   for (const auto& e : job.tmpl->entries) {
     if (e.type != GopType::kRecv) continue;

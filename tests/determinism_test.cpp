@@ -10,7 +10,10 @@
 // The matrix covers the four protocol regimes the offload stack has: basic
 // rendezvous pingpong, cached group alltoall, a wire-fault sweep (content-
 // keyed fates — see FaultSpec::content_keyed), and a proxy crash mid-stripe
-// (liveness + degraded completion). A planted-race fixture proves the
+// (liveness + degraded completion). Each runs on two fabric shapes: the
+// default single leaf, and an active fat-tree core where every node is its
+// own leaf and cross-leaf traffic queues at oversubscribed spine ports. A
+// planted-race fixture proves the
 // detector actually detects; a fault-fate unit test pins the global-stream
 // order dependence that content-keyed mode fixes.
 #include <gtest/gtest.h>
@@ -43,11 +46,12 @@ constexpr std::size_t kSeeds = 8;  // ISSUE floor: >= 8 seeds per workload
 // failure regardless of digests), and snapshots the run.
 // ---------------------------------------------------------------------------
 
-RunRecord run_pingpong(std::uint64_t tie_seed) {
+RunRecord run_pingpong(std::uint64_t tie_seed, const machine::TopologySpec& topo) {
   machine::ClusterSpec s;
   s.nodes = 2;
   s.host_procs_per_node = 1;
   s.proxies_per_dpu = 1;
+  s.topology = topo;
   World w(s);
   w.engine().set_tie_shuffle_seed(tie_seed);
   auto& tr = w.enable_trace();
@@ -111,19 +115,21 @@ RunRecord run_group_alltoall(std::uint64_t tie_seed, machine::ClusterSpec s) {
   return capture_run(w.engine(), &tr);
 }
 
-RunRecord run_group_alltoall_clean(std::uint64_t tie_seed) {
+RunRecord run_group_alltoall_clean(std::uint64_t tie_seed, const machine::TopologySpec& topo) {
   machine::ClusterSpec s;
   s.nodes = 2;
   s.host_procs_per_node = 2;
   s.proxies_per_dpu = 1;
+  s.topology = topo;
   return run_group_alltoall(tie_seed, s);
 }
 
-RunRecord run_fault_sweep(std::uint64_t tie_seed) {
+RunRecord run_fault_sweep(std::uint64_t tie_seed, const machine::TopologySpec& topo) {
   machine::ClusterSpec s;
   s.nodes = 2;
   s.host_procs_per_node = 2;
   s.proxies_per_dpu = 1;
+  s.topology = topo;
   s.fault.enabled = true;
   s.fault.seed = 77;
   s.fault.drop_prob = 0.10;
@@ -138,11 +144,12 @@ RunRecord run_fault_sweep(std::uint64_t tie_seed) {
   return run_group_alltoall(tie_seed, s);
 }
 
-RunRecord run_crash_mid_stripe(std::uint64_t tie_seed) {
+RunRecord run_crash_mid_stripe(std::uint64_t tie_seed, const machine::TopologySpec& topo) {
   machine::ClusterSpec s;
   s.nodes = 2;
   s.host_procs_per_node = 1;
   s.proxies_per_dpu = 2;
+  s.topology = topo;
   s.cost.stripe_threshold = 32_KiB;
   s.cost.chunk_bytes = 32_KiB;
   s.cost.dpu_qp_GBps = 1.0;  // slow QPs so the crash lands mid-stripe
@@ -168,39 +175,62 @@ RunRecord run_crash_mid_stripe(std::uint64_t tie_seed) {
 }
 
 // ---------------------------------------------------------------------------
-// The matrix: >= 8 seeds x 4 workloads, byte-identical records everywhere.
+// The matrix: >= 8 seeds x 4 workloads x 2 fabric shapes, byte-identical
+// records everywhere.
 // ---------------------------------------------------------------------------
 
-TEST(DeterminismMatrix, PingpongIsTieOrderIndependent) {
+struct FabricShape {
+  const char* name;
+  machine::TopologySpec topo;
+};
+
+const FabricShape kShapes[] = {
+    {"single leaf", {}},
+    {"fat-tree core (1 node/leaf, 2 spines, 2:1)",
+     {/*spines=*/2, /*leaf_radix=*/1, /*oversubscription=*/2.0, /*link_GBps=*/0.0}},
+};
+
+using Workload = RunRecord (*)(std::uint64_t, const machine::TopologySpec&);
+
+MatrixReport run_shape(Workload workload, const machine::TopologySpec& topo) {
   const auto seeds = default_seeds(kSeeds);
-  const auto rep = run_matrix(run_pingpong, seeds);
-  EXPECT_TRUE(rep.identical()) << rep.summary();
+  return run_matrix([&](std::uint64_t seed) { return workload(seed, topo); }, seeds);
+}
+
+TEST(DeterminismMatrix, PingpongIsTieOrderIndependent) {
+  for (const FabricShape& sh : kShapes) {
+    const auto rep = run_shape(run_pingpong, sh.topo);
+    EXPECT_TRUE(rep.identical()) << sh.name << ": " << rep.summary();
+  }
 }
 
 TEST(DeterminismMatrix, GroupAlltoallIsTieOrderIndependent) {
-  const auto seeds = default_seeds(kSeeds);
-  const auto rep = run_matrix(run_group_alltoall_clean, seeds);
-  EXPECT_TRUE(rep.identical()) << rep.summary();
+  for (const FabricShape& sh : kShapes) {
+    const auto rep = run_shape(run_group_alltoall_clean, sh.topo);
+    EXPECT_TRUE(rep.identical()) << sh.name << ": " << rep.summary();
+  }
 }
 
 TEST(DeterminismMatrix, FaultSweepIsTieOrderIndependent) {
-  const auto seeds = default_seeds(kSeeds);
-  const auto rep = run_matrix(run_fault_sweep, seeds);
-  EXPECT_TRUE(rep.identical()) << rep.summary();
-  // The sweep must actually have injected faults, or it proves nothing.
-  bool saw_faults = false;
-  for (const auto& line : rep.baseline.metric_lines) {
-    if (line.rfind("fault.injected=", 0) == 0 && line != "fault.injected=0") {
-      saw_faults = true;
+  for (const FabricShape& sh : kShapes) {
+    const auto rep = run_shape(run_fault_sweep, sh.topo);
+    EXPECT_TRUE(rep.identical()) << sh.name << ": " << rep.summary();
+    // The sweep must actually have injected faults, or it proves nothing.
+    bool saw_faults = false;
+    for (const auto& line : rep.baseline.metric_lines) {
+      if (line.rfind("fault.injected=", 0) == 0 && line != "fault.injected=0") {
+        saw_faults = true;
+      }
     }
+    EXPECT_TRUE(saw_faults) << sh.name << ": fault sweep ran clean; raise the rates";
   }
-  EXPECT_TRUE(saw_faults) << "fault sweep ran clean; raise the rates";
 }
 
 TEST(DeterminismMatrix, CrashMidStripeIsTieOrderIndependent) {
-  const auto seeds = default_seeds(kSeeds);
-  const auto rep = run_matrix(run_crash_mid_stripe, seeds);
-  EXPECT_TRUE(rep.identical()) << rep.summary();
+  for (const FabricShape& sh : kShapes) {
+    const auto rep = run_shape(run_crash_mid_stripe, sh.topo);
+    EXPECT_TRUE(rep.identical()) << sh.name << ": " << rep.summary();
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -97,20 +97,6 @@ TEST(Fabric, DisjointPairsDoNotInterfere) {
   EXPECT_EQ(deliveries[0], deliveries[1]);  // full bisection bandwidth
 }
 
-TEST(Fabric, TransferAwaitCompletesAtDeliveryTime) {
-  sim::Engine eng;
-  auto spec = two_nodes();
-  Fabric fab(eng, spec);
-  SimTime done_at = 0;
-  auto body = [&]() -> sim::Task<void> {
-    co_await fab.transfer_await(0, 1, 8_KiB);
-    done_at = eng.now();
-  };
-  eng.spawn(body());
-  eng.run();
-  EXPECT_EQ(done_at, fab.uncontended_time(0, 1, 8_KiB));
-}
-
 TEST(Fabric, StatsAccumulate) {
   sim::Engine eng;
   auto spec = two_nodes();

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/units.h"
@@ -57,12 +58,19 @@ RunDigest legacy_workload_digest(machine::ClusterSpec s) {
 // ---- regression pins: 1-spine / 1:1 == old flat model ----------------------
 
 TEST(TopologyPin, DefaultNonBlockingCoreMatchesFlatModel) {
-  machine::ClusterSpec s;
-  s.nodes = 8;  // defaults: radix 16, oversub 1.0 -> single leaf, no core
-  const RunDigest d = legacy_workload_digest(s);
-  EXPECT_EQ(d.deliveries, 32u);
-  EXPECT_EQ(d.final_time, SimTime{252121332});
-  EXPECT_EQ(d.digest, 0x214d3e5d238ff45dull);
+  // Defaults: radix 16, oversub 1.0 -> a single leaf, no core. A 1-spine
+  // 1:1 core is non-blocking, so splitting the same 8 nodes across 1..8
+  // leaves must leave every delivery time untouched.
+  for (int radix : {16, 8, 4, 2, 1}) {
+    SCOPED_TRACE("leaf_radix=" + std::to_string(radix));
+    machine::ClusterSpec s;
+    s.nodes = 8;
+    s.cost.radix = radix;
+    const RunDigest d = legacy_workload_digest(s);
+    EXPECT_EQ(d.deliveries, 32u);
+    EXPECT_EQ(d.final_time, SimTime{252121332});
+    EXPECT_EQ(d.digest, 0x214d3e5d238ff45dull);
+  }
 }
 
 TEST(TopologyPin, OversubscribedSingleSpineMatchesFlatPooledCore) {

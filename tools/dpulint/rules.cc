@@ -91,18 +91,14 @@ void token_rules(Ctx& c, const FileUnit& f) {
   const bool raw_post_exempt =
       f.rel.rfind("src/verbs/", 0) == 0 ||
       f.rel == "src/offload/reliable.cpp" || f.rel == "src/offload/reliable.h";
-  const bool thread_exempt =
-      f.rel == "src/sim/shard.h" || f.rel == "src/sim/shard.cpp";
   const bool fallback_exempt = f.rel == "src/offload/protocol.h";
 
-  if (!thread_exempt) {
-    for (const IncludeRef& inc : f.lx.includes)
-      if (inc.system && thread_header(inc.path))
-        c.add(f, inc.line, "thread",
-              "#include <" + inc.path +
-                  "> outside src/sim/shard.*: route concurrency through "
-                  "ShardScheduler, or add '// lint: thread ok: <reason>'");
-  }
+  for (const IncludeRef& inc : f.lx.includes)
+    if (inc.system && thread_header(inc.path))
+      c.add(f, inc.line, "thread",
+            "#include <" + inc.path +
+                ">: the simulator is single-threaded; add "
+                "'// lint: thread ok: <reason>' if truly needed");
 
   for (std::size_t i = 0; i < t.size(); ++i) {
     const Token& tok = t[i];
@@ -185,12 +181,11 @@ void token_rules(Ctx& c, const FileUnit& f) {
       }
     }
 
-    // ---- thread (everywhere, shard.* exempt) --------------------------------
-    if (!thread_exempt && is_ident(tok) && thread_prim(tok.text) && std_qual)
+    // ---- thread (everywhere) -----------------------------------------------
+    if (is_ident(tok) && thread_prim(tok.text) && std_qual)
       c.add(f, tok.line, "thread",
-            "raw threading primitive outside src/sim/shard.*: route "
-            "concurrency through ShardScheduler, or add "
-            "'// lint: thread ok: <reason>'");
+            "raw threading primitive: the simulator is single-threaded; add "
+            "'// lint: thread ok: <reason>' if truly needed");
 
     // ---- nodiscard (src only) -----------------------------------------------
     // `enum [class] [[attrs]] Status`: the completion status must carry
