@@ -23,8 +23,8 @@ struct Point {
 Point run(double oversub, int nodes, int ppn, std::size_t bpr) {
   auto measure = [&](bool proposed, SimDuration compute) {
     machine::ClusterSpec s = bench::spec_of(nodes, ppn);
-    s.cost.oversubscription = oversub;
-    s.cost.radix = 4;
+    s.topology.oversubscription = oversub;
+    s.topology.leaf_radix = 4;
     World w(s);
     double out = 0;
     auto prog = [&, proposed, bpr, compute](Rank& r) -> sim::Task<void> {

@@ -1,18 +1,35 @@
 // google-benchmark microbenches of the framework's hot data structures:
-// the array-of-BST GVMI cache lookup and the proxy matching queues.
+// the array-of-BST registration cache lookup (a host GVMI instance) and the
+// proxy matching queues.
 // (Wall-clock costs of the simulator itself, not simulated time.)
 #include <benchmark/benchmark.h>
 
 #include "fabric/fabric.h"
 #include "machine/spec.h"
-#include "offload/gvmi_cache.h"
 #include "offload/match_queues.h"
 #include "sim/engine.h"
+#include "verbs/reg_cache.h"
 #include "verbs/verbs.h"
 
 namespace {
 
 using namespace dpu;
+using GvmiCache = verbs::RegCache<verbs::GvmiMrInfo>;
+
+sim::Task<void> warm(GvmiCache& cache, verbs::ProcCtx& host, int proxy, verbs::GvmiId gvmi,
+                     int entries, std::vector<machine::Addr>& addrs) {
+  for (int i = 0; i < entries; ++i) {
+    const auto a = host.mem().alloc(4096, false);
+    addrs.push_back(a);
+    (void)co_await cache.get(host, proxy, gvmi, a, 4096);
+  }
+}
+
+sim::Task<void> probe(GvmiCache& cache, verbs::ProcCtx& host, int proxy, verbs::GvmiId gvmi,
+                      machine::Addr a) {
+  auto info = co_await cache.get(host, proxy, gvmi, a, 4096);
+  benchmark::DoNotOptimize(info.mkey);
+}
 
 void BM_GvmiCacheHit(benchmark::State& state) {
   machine::ClusterSpec spec;
@@ -22,32 +39,20 @@ void BM_GvmiCacheHit(benchmark::State& state) {
   sim::Engine eng;
   fabric::Fabric fab(eng, spec);
   verbs::Runtime rt(eng, spec, fab);
-  offload::HostGvmiCache cache(spec.total_procs());
+  GvmiCache cache(spec.total_procs());
   const int proxy = spec.proxy_id(0, 0);
   const auto gvmi = rt.ctx(proxy).alloc_gvmi_id();
-  const int entries = static_cast<int>(state.range(0));
 
-  // Warm the cache with `entries` buffers, inside a driver process.
+  // Warm the cache with range(0) buffers, inside a driver process.
   std::vector<machine::Addr> addrs;
-  auto driver = [&]() -> sim::Task<void> {
-    for (int i = 0; i < entries; ++i) {
-      const auto a = rt.ctx(0).mem().alloc(4096, false);
-      addrs.push_back(a);
-      (void)co_await cache.get(rt.ctx(0), proxy, gvmi, a, 4096);
-    }
-  };
-  eng.spawn(driver());
+  eng.spawn(warm(cache, rt.ctx(0), proxy, gvmi, static_cast<int>(state.range(0)), addrs));
   (void)eng.run();
 
   std::size_t i = 0;
   for (auto _ : state) {
     // Hits never suspend, so the returned task completes synchronously when
     // pumped by a trivial driver.
-    auto probe = [&]() -> sim::Task<void> {
-      auto info = co_await cache.get(rt.ctx(0), proxy, gvmi, addrs[i % addrs.size()], 4096);
-      benchmark::DoNotOptimize(info.mkey);
-    };
-    eng.spawn(probe());
+    eng.spawn(probe(cache, rt.ctx(0), proxy, gvmi, addrs[i % addrs.size()]));
     (void)eng.run();
     ++i;
   }

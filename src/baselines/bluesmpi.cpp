@@ -50,7 +50,8 @@ BluesWorker& BluesMpi::worker_for_host(int host_rank) {
 // Endpoint
 // ---------------------------------------------------------------------------
 
-BluesEndpoint::BluesEndpoint(BluesMpi& rt, int rank) : rt_(rt), rank_(rank) {}
+BluesEndpoint::BluesEndpoint(BluesMpi& rt, int rank)
+    : rt_(rt), rank_(rank), reg_cache_(1, rt.spec().cost.reg_cache_capacity) {}
 
 std::uint64_t BluesEndpoint::next_coll_key(const mpi::Communicator& comm) {
   const int seq = comm_seq_[comm.context_id()]++;

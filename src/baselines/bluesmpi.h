@@ -23,10 +23,10 @@
 #include <vector>
 
 #include "mpi/communicator.h"
-#include "mpi/reg_cache.h"
 #include "sim/engine.h"
 #include "sim/sync.h"
 #include "sim/task.h"
+#include "verbs/reg_cache.h"
 #include "verbs/verbs.h"
 
 namespace dpu::baselines {
@@ -103,14 +103,14 @@ class BluesEndpoint {
 
   sim::Task<void> wait(const BluesReqPtr& req);
 
-  mpi::RegCache& reg_cache() { return reg_cache_; }
+  verbs::RegCache<verbs::MrInfo>& reg_cache() { return reg_cache_; }
 
  private:
   std::uint64_t next_coll_key(const mpi::Communicator& comm);
 
   BluesMpi& rt_;
   int rank_;
-  mpi::RegCache reg_cache_;
+  verbs::RegCache<verbs::MrInfo> reg_cache_;
   std::map<int, int> comm_seq_;
 };
 

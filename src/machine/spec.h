@@ -128,10 +128,6 @@ struct CostModel {
   double wire_latency_us = 0.90;      ///< one-way switch+wire latency (inter-node)
   double loopback_latency_us = 0.50;  ///< host <-> local-DPU via NIC loopback
   double nic_bandwidth_GBps = 24.0;   ///< per-port serialization rate (HDR-ish)
-  /// Fat-tree core oversubscription: 1.0 = full bisection; k > 1 divides
-  /// the aggregate core bandwidth by k (edge ports stay full rate).
-  double oversubscription = 1.0;
-  int radix = 16;  ///< nodes per leaf switch (traffic within a leaf skips the core)
   double host_post_us = 0.25;         ///< per-message post/inject overhead, host core
   double dpu_post_factor = 2.1;       ///< DPU ARM core slowdown for per-message work
 
@@ -173,8 +169,9 @@ struct CostModel {
   /// SmartNIC offload studies measure). 0 = uncapped: DPU-initiated RDMA
   /// serializes only on the NIC port, exactly the seed model.
   double dpu_qp_GBps = 0.0;
-  /// LRU capacity for the registration caches (HostGvmiCache / DpuGvmiCache /
-  /// mpi::RegCache); 0 = unbounded (the default — seed behaviour).
+  /// LRU capacity of every registration cache (each verbs::RegCache: host
+  /// GVMI, proxy cross-registration, endpoint IB, minimpi and BluesMPI);
+  /// 0 = unbounded (the default — seed behaviour).
   std::size_t reg_cache_capacity = 0;
 
   bool stripe_enabled() const { return stripe_threshold > 0; }
@@ -245,21 +242,19 @@ struct TenantSpec {
 /// selection). Aggregate uplink capacity per leaf is
 /// `leaf_radix * link rate / oversubscription`, split evenly across the
 /// spines, so `spines` controls path diversity while `oversubscription`
-/// controls the bisection. The 0 defaults inherit the matching CostModel
-/// knobs (cost.radix / cost.oversubscription / cost.nic_bandwidth_GBps),
-/// which keeps every pre-fat-tree spec meaningful unchanged; a 1-spine,
-/// 1:1 tree is a non-blocking core and reproduces the flat single-switch
-/// model byte-identically (pinned by tests/topology_test.cpp).
+/// controls the bisection. The link rate is the NIC port rate
+/// (cost.nic_bandwidth_GBps). A 1-spine, 1:1 tree is a non-blocking core
+/// and reproduces the flat single-switch model byte-identically (pinned by
+/// tests/topology_test.cpp).
 struct TopologySpec {
   int spines = 1;                 ///< core switches (>= 1)
-  int leaf_radix = 0;             ///< nodes per leaf; 0 = inherit cost.radix
-  double oversubscription = 0.0;  ///< core bisection divisor; 0 = inherit
-  double link_GBps = 0.0;         ///< edge link rate; 0 = inherit NIC rate
+  int leaf_radix = 16;            ///< nodes per leaf (traffic within a leaf skips the core)
+  double oversubscription = 1.0;  ///< core bisection divisor (>= 1; 1 = full bisection)
 };
 
-/// Validated, fully-resolved view of the fabric topology (all inheritance
-/// applied). Built by ClusterSpec::resolve_topology(); the Fabric consumes
-/// only this.
+/// Validated, fully-resolved view of the fabric topology (link rate taken
+/// from the cost model). Built by ClusterSpec::resolve_topology(); the
+/// Fabric consumes only this.
 struct Topology {
   int nodes = 0;
   int leaf_radix = 0;
@@ -424,17 +419,11 @@ struct ClusterSpec {
     Topology t;
     t.nodes = nodes;
     t.spines = topology.spines;
-    t.leaf_radix = topology.leaf_radix != 0 ? topology.leaf_radix : cost.radix;
-    t.oversubscription = topology.oversubscription != 0.0 ? topology.oversubscription
-                                                          : cost.oversubscription;
-    t.link_GBps = topology.link_GBps != 0.0 ? topology.link_GBps : cost.nic_bandwidth_GBps;
+    t.leaf_radix = topology.leaf_radix;
+    t.oversubscription = topology.oversubscription;
+    t.link_GBps = cost.nic_bandwidth_GBps;
     if (t.spines < 1) throw SpecError("TopologySpec.spines", "must be >= 1");
-    if (t.leaf_radix < 1) {
-      throw SpecError("TopologySpec.leaf_radix", "must be >= 1 after inheritance");
-    }
-    if (!(t.link_GBps > 0.0)) {
-      throw SpecError("TopologySpec.link_GBps", "zero-rate link");
-    }
+    if (t.leaf_radix < 1) throw SpecError("TopologySpec.leaf_radix", "must be >= 1");
     if (t.oversubscription < 1.0) {
       throw SpecError("TopologySpec.oversubscription",
                       "must be >= 1 (a core faster than the edge is not a fat-tree)");

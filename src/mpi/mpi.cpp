@@ -68,16 +68,9 @@ void MpiWorld::deliver_local(int src_rank, int dst_rank, Wire body, SimDuration 
 // MpiCtx basics
 // ---------------------------------------------------------------------------
 
-MpiCtx::MpiCtx(MpiWorld& world, int world_rank) : world_(world), rank_(world_rank) {
-  auto& reg = world_.engine().metrics();
-  const std::string prefix = "mpi.rank" + std::to_string(rank_) + ".reg_cache.";
-  reg.link(prefix + "hits", &reg_cache_.stats().hits);
-  reg.link(prefix + "misses", &reg_cache_.stats().misses);
-  reg.link(prefix + "coalesced", &reg_cache_.stats().coalesced);
-  reg_cache_.set_capacity(world_.spec().cost.reg_cache_capacity);
-  if (world_.spec().cost.reg_cache_capacity > 0) {
-    reg.link(prefix + "evictions", &reg_cache_.stats().evictions);
-  }
+MpiCtx::MpiCtx(MpiWorld& world, int world_rank)
+    : world_(world), rank_(world_rank), reg_cache_(1, world.spec().cost.reg_cache_capacity) {
+  reg_cache_.link(world_.engine().metrics(), "mpi.rank" + std::to_string(rank_) + ".reg_cache.");
 }
 MpiCtx::~MpiCtx() = default;
 

@@ -29,10 +29,10 @@
 #include "machine/spec.h"
 #include "mpi/communicator.h"
 #include "mpi/message.h"
-#include "mpi/reg_cache.h"
 #include "sim/engine.h"
 #include "sim/sync.h"
 #include "sim/task.h"
+#include "verbs/reg_cache.h"
 #include "verbs/verbs.h"
 
 namespace dpu::mpi {
@@ -73,7 +73,7 @@ class MpiCtx {
   int rank() const { return rank_; }
   int size() const;
   verbs::ProcCtx& vctx();
-  RegCache& reg_cache() { return reg_cache_; }
+  verbs::RegCache<verbs::MrInfo>& reg_cache() { return reg_cache_; }
 
   // ---- point-to-point -------------------------------------------------------
   sim::Task<Request> isend(machine::Addr buf, std::size_t len, int dst_world, int tag,
@@ -160,7 +160,7 @@ class MpiCtx {
 
   MpiWorld& world_;
   int rank_;
-  RegCache reg_cache_;
+  verbs::RegCache<verbs::MrInfo> reg_cache_;
   std::uint64_t next_req_ = 1;
 
   /// Matching key (context, source world rank, tag); FIFO per key.

@@ -103,9 +103,9 @@ void OffloadRuntime::start() {
 
 OffloadEndpoint::OffloadEndpoint(OffloadRuntime& rt, int rank)
     : rt_(rt), rank_(rank), tenant_(rt.spec().tenant_of_host(rank)),
-      gvmi_cache_(rt.spec().total_procs()), retx_(rt.verbs().ctx(rank)) {
-  gvmi_cache_.set_capacity(rt.spec().cost.reg_cache_capacity);
-  ib_cache_.set_capacity(rt.spec().cost.reg_cache_capacity);
+      gvmi_cache_(rt.spec().total_procs(), rt.spec().cost.reg_cache_capacity),
+      ib_cache_(1, rt.spec().cost.reg_cache_capacity),
+      retx_(rt.verbs().ctx(rank)) {
   auto& reg = rt_.engine().metrics();
   const std::string prefix = "offload.host" + std::to_string(rank_) + ".";
   reg.link(prefix + "group_cache.hits", &group_hits_);
@@ -113,19 +113,10 @@ OffloadEndpoint::OffloadEndpoint(OffloadRuntime& rt, int rank)
   reg.link(prefix + "ctrl_msgs_sent", &ctrl_sent_);
   reg.link(prefix + "retries", &retx_.retries());
   reg.link(prefix + "dup_dropped", &dup_dropped_);
-  reg.link(prefix + "gvmi_cache.hits", &gvmi_cache_.stats().hits);
-  reg.link(prefix + "gvmi_cache.misses", &gvmi_cache_.stats().misses);
-  reg.link(prefix + "gvmi_cache.coalesced", &gvmi_cache_.stats().coalesced);
-  reg.link(prefix + "ib_cache.hits", &ib_cache_.stats().hits);
-  reg.link(prefix + "ib_cache.misses", &ib_cache_.stats().misses);
-  reg.link(prefix + "ib_cache.coalesced", &ib_cache_.stats().coalesced);
+  gvmi_cache_.link(reg, prefix + "gvmi_cache.");
+  ib_cache_.link(reg, prefix + "ib_cache.");
   // Gated links keep existing configurations' metrics JSON byte-identical:
-  // eviction counters only exist on bounded caches, striping counters only
-  // when the segmented data path is armed.
-  if (rt_.spec().cost.reg_cache_capacity > 0) {
-    reg.link(prefix + "gvmi_cache.evictions", &gvmi_cache_.stats().evictions);
-    reg.link(prefix + "ib_cache.evictions", &ib_cache_.stats().evictions);
-  }
+  // striping counters only exist when the segmented data path is armed.
   if (rt_.spec().cost.stripe_enabled()) {
     reg.link(prefix + "bytes_striped", &bytes_striped_);
   }

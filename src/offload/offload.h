@@ -26,14 +26,13 @@
 
 #include "common/metrics.h"
 #include "mpi/mpi.h"
-#include "mpi/reg_cache.h"
-#include "offload/gvmi_cache.h"
 #include "offload/protocol.h"
 #include "offload/proxy.h"
 #include "offload/reliable.h"
 #include "sim/engine.h"
 #include "sim/sync.h"
 #include "sim/task.h"
+#include "verbs/reg_cache.h"
 #include "verbs/verbs.h"
 
 namespace dpu::offload {
@@ -166,8 +165,8 @@ class OffloadEndpoint {
   // ---- introspection ----------------------------------------------------------
   // Counter getters are thin adapters over the "offload.host<rank>.*"
   // registry counters.
-  HostGvmiCache& gvmi_cache() { return gvmi_cache_; }
-  mpi::RegCache& ib_cache() { return ib_cache_; }
+  verbs::RegCache<verbs::GvmiMrInfo>& gvmi_cache() { return gvmi_cache_; }
+  verbs::RegCache<verbs::MrInfo>& ib_cache() { return ib_cache_; }
   std::uint64_t group_cache_hits() const { return group_hits_.value(); }
   std::uint64_t group_cache_misses() const { return group_misses_.value(); }
   std::uint64_t ctrl_msgs_sent() const { return ctrl_sent_.value(); }
@@ -231,8 +230,8 @@ class OffloadEndpoint {
   OffloadRuntime& rt_;
   int rank_;
   int tenant_ = 0;
-  HostGvmiCache gvmi_cache_;
-  mpi::RegCache ib_cache_;
+  verbs::RegCache<verbs::GvmiMrInfo> gvmi_cache_;  ///< per proxy rank
+  verbs::RegCache<verbs::MrInfo> ib_cache_;
   Retransmitter retx_;      ///< reliable sender for proxy-bound control msgs
   DupFilter dup_filter_;    ///< replay suppression for host-received ctrl msgs
   std::uint64_t next_req_ = 1;

@@ -13,10 +13,10 @@
 namespace dpu::offload {
 
 Proxy::Proxy(OffloadRuntime& rt, int proc_id)
-    : rt_(rt), proc_(proc_id), gvmi_cache_(rt.spec().total_procs()),
+    : rt_(rt), proc_(proc_id),
+      gvmi_cache_(rt.spec().total_procs(), rt.spec().cost.reg_cache_capacity),
       retx_(rt.verbs().ctx(proc_id)) {
   gvmi_ = rt_.verbs().ctx(proc_).alloc_gvmi_id();
-  gvmi_cache_.set_capacity(rt_.spec().cost.reg_cache_capacity);
   auto& reg = rt_.engine().metrics();
   const std::string prefix = "offload.proxy" + std::to_string(proc_) + ".";
   reg.link(prefix + "basic_pairs_completed", &basic_done_);
@@ -27,15 +27,9 @@ Proxy::Proxy(OffloadRuntime& rt, int proc_id)
   reg.link(prefix + "retries", &retx_.retries());
   reg.link(prefix + "dup_dropped", &dup_dropped_);
   reg.link(prefix + "credit_gated", &credit_gated_);
-  reg.link(prefix + "gvmi_cache.hits", &gvmi_cache_.stats().hits);
-  reg.link(prefix + "gvmi_cache.misses", &gvmi_cache_.stats().misses);
-  reg.link(prefix + "gvmi_cache.coalesced", &gvmi_cache_.stats().coalesced);
+  gvmi_cache_.link(reg, prefix + "gvmi_cache.");
   // Gated links so the metrics JSON of existing configurations stays
-  // byte-identical: evictions only exist on bounded caches, chunk counters
-  // only on striping runs.
-  if (rt_.spec().cost.reg_cache_capacity > 0) {
-    reg.link(prefix + "gvmi_cache.evictions", &gvmi_cache_.stats().evictions);
-  }
+  // byte-identical: chunk counters only on striping runs.
   if (rt_.spec().cost.stripe_enabled()) {
     reg.link(prefix + "chunks_moved", &chunks_moved_);
   }
@@ -470,7 +464,7 @@ sim::Task<bool> Proxy::process_combined() {
     // Cross-register the host source buffer (cache-amortized; striped pairs
     // all share the single whole-buffer registration and offset into it),
     // then move the data straight from host memory to the destination host.
-    auto entry = co_await gvmi_cache_.get(vctx(), pair.rts.src_rank, pair.rts.src_info);
+    auto mkey2 = co_await gvmi_cache_.get(vctx(), pair.rts.src_rank, pair.rts.src_info);
     if (pair.rts.chunk.count > 1) {
       // Segment of a striped message: delivery hook marks the chunk done on
       // both hosts' countdowns (same NIC event → both sides' views agree).
@@ -485,8 +479,8 @@ sim::Task<bool> Proxy::process_combined() {
       };
       note_chunk_issued();
       ++chunks_moved_;
-      auto c = co_await vctx().post_rdma_write_on_behalf_hooked(
-          entry.mkey2, pair.rts.src_info.addr + pair.rts.chunk.offset,
+      auto c = co_await vctx().post_rdma_write_on_behalf(
+          mkey2, pair.rts.src_info.addr + pair.rts.chunk.offset,
           pair.rtr.dst_rank, pair.rtr.dst_rkey, pair.rtr.dst_addr, pair.rts.len,
           std::move(hook));
       c->subscribe([this] { note_chunk_done(); });
@@ -496,7 +490,7 @@ sim::Task<bool> Proxy::process_combined() {
       continue;
     }
     auto c = co_await vctx().post_rdma_write_on_behalf(
-        entry.mkey2, pair.rts.src_info.addr, pair.rtr.dst_rank, pair.rtr.dst_rkey,
+        mkey2, pair.rts.src_info.addr, pair.rtr.dst_rank, pair.rtr.dst_rkey,
         pair.rtr.dst_addr, pair.rts.len);
     fins_.push_back(FinPending{std::move(c), pair.rts.src_flag, pair.rts.src_rank,
                                pair.rtr.dst_flag, pair.rtr.dst_rank});
@@ -515,11 +509,11 @@ sim::Task<bool> Proxy::process_chunk_work() {
     // Shared-PD cross-registration of the WHOLE source buffer in this
     // worker's own cache (the node's workers front the same DPU HCA), then
     // the segment RDMA with the delivery hook the home built.
-    auto entry = co_await gvmi_cache_.get(vctx(), w.host_rank, w.src_info);
+    auto mkey2 = co_await gvmi_cache_.get(vctx(), w.host_rank, w.src_info);
     note_chunk_issued();
     ++chunks_moved_;
-    auto c = co_await vctx().post_rdma_write_on_behalf_hooked(
-        entry.mkey2, w.src_addr, w.dst_rank, w.dst_rkey, w.dst_addr, w.len,
+    auto c = co_await vctx().post_rdma_write_on_behalf(
+        mkey2, w.src_addr, w.dst_rank, w.dst_rkey, w.dst_addr, w.len,
         std::move(w.on_delivered));
     auto done = w.done;
     const int home = w.home_proxy;
@@ -635,8 +629,7 @@ sim::Task<void> Proxy::post_group_send(JobInstance& job, std::size_t idx) {
   if (tmpl.mkey2[idx] == 0) {
     // Resolve via the DPU GVMI cache and memoize in the template so cached
     // re-runs skip even the cache search (§VII-D).
-    auto entry = co_await gvmi_cache_.get(vctx(), job.host_rank, e.src_info);
-    tmpl.mkey2[idx] = entry.mkey2;
+    tmpl.mkey2[idx] = co_await gvmi_cache_.get(vctx(), job.host_rank, e.src_info);
   }
   // Hook bound to a named local first (GCC 12 temporary-argument bug, see
   // sim/task.h).
@@ -646,7 +639,7 @@ sim::Task<void> Proxy::post_group_send(JobInstance& job, std::size_t idx) {
     note_chunk_issued();
     ++chunks_moved_;
   }
-  auto c = co_await vctx().post_rdma_write_on_behalf_hooked(
+  auto c = co_await vctx().post_rdma_write_on_behalf(
       tmpl.mkey2[idx], e.src_addr, e.peer, e.dst_rkey, e.dst_addr, e.len,
       std::move(imm_hook));
   job.state[idx].posted = true;

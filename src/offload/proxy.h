@@ -18,11 +18,11 @@
 #include <vector>
 
 #include "common/metrics.h"
-#include "offload/gvmi_cache.h"
 #include "offload/match_queues.h"
 #include "offload/protocol.h"
 #include "offload/reliable.h"
 #include "sim/task.h"
+#include "verbs/reg_cache.h"
 #include "verbs/verbs.h"
 
 namespace dpu::offload {
@@ -35,7 +35,7 @@ class Proxy {
 
   int proc_id() const { return proc_; }
   verbs::GvmiId gvmi() const { return gvmi_; }
-  DpuGvmiCache& gvmi_cache() { return gvmi_cache_; }
+  verbs::RegCache<verbs::MKey>& gvmi_cache() { return gvmi_cache_; }
 
   /// The proxy's main progress loop (spawned by OffloadRuntime::start).
   /// Exits once every mapped host sent Finalize_Offload and all work
@@ -204,7 +204,7 @@ class Proxy {
   OffloadRuntime& rt_;
   int proc_;
   verbs::GvmiId gvmi_ = 0;
-  DpuGvmiCache gvmi_cache_;
+  verbs::RegCache<verbs::MKey> gvmi_cache_;  ///< mkey2 per host rank
   Retransmitter retx_;    ///< reliable sender for proxy-originated ctrl msgs
   DupFilter dup_filter_;  ///< replay suppression for received ctrl msgs
   MatchQueues queues_;

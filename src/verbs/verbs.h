@@ -170,16 +170,12 @@ class ProcCtx {
   /// Cross-GVMI RDMA write: this (DPU) process moves data *from the host
   /// buffer named by mkey2* to a remote registered buffer. Initiation costs
   /// this process's (DPU) overhead; the wire path starts at the host NIC.
+  /// A non-empty `on_delivered` runs when the last byte lands at the target
+  /// (models target-side completion side-effects such as an immediate
+  /// consumed by another QP).
   sim::Task<Completion> post_rdma_write_on_behalf(MKey mkey2, Addr src_addr, int dst_proc,
-                                                  RKey rkey, Addr dst_addr, std::size_t len);
-
-  /// Cross-GVMI write with a delivery hook: `on_delivered` runs when the
-  /// last byte lands at the target (models target-side completion
-  /// side-effects such as an immediate consumed by another QP).
-  sim::Task<Completion> post_rdma_write_on_behalf_hooked(MKey mkey2, Addr src_addr,
-                                                         int dst_proc, RKey rkey,
-                                                         Addr dst_addr, std::size_t len,
-                                                         std::function<void()> on_delivered);
+                                                  RKey rkey, Addr dst_addr, std::size_t len,
+                                                  std::function<void()> on_delivered = {});
 
   /// Fire-and-forget remote flag write: on delivery, sets `flag` and pokes
   /// `wake_proc`'s activity notifier (models an RDMA write of a completion
@@ -230,8 +226,8 @@ class ProcCtx {
 
   /// Builds a delivery hook that injects `imm` into `dst_proc`'s inbox `ch`
   /// (write-with-immediate semantics); pass the result to
-  /// post_rdma_write_on_behalf_hooked when the immediate should be consumed
-  /// by a process other than the data's destination (e.g. its proxy).
+  /// post_rdma_write_on_behalf when the immediate should be consumed by a
+  /// process other than the data's destination (e.g. its proxy).
   template <class Body>
   std::function<void()> make_imm_hook(int dst_proc, Chan<Body> ch,
                                       std::type_identity_t<Body> imm);
@@ -305,7 +301,7 @@ class Runtime {
     int host_proc;
     Addr addr;
     std::size_t len;
-    bool live = true;
+    MKey mkey;  ///< the host registration it derives from; usable while that lives
   };
 
   sim::Engine& eng_;

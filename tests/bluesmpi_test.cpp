@@ -129,6 +129,30 @@ TEST(BluesMpi, AlternatingBufferSetsPaySetupTwice) {
   EXPECT_EQ(w.blues().worker_for_host(0).staging_setups(), 4u);
 }
 
+TEST(BluesMpi, RegCacheHonoursCapacity) {
+  // CostModel::reg_cache_capacity bounds BluesMPI's registration cache like
+  // every other one: four ialltoalls alternating two buffer pairs at
+  // capacity 1 keep one entry and evict the rest.
+  machine::ClusterSpec s = spec_of(2, 1);
+  s.cost.reg_cache_capacity = 1;
+  World w(s);
+  w.launch_all([&](Rank& r) -> sim::Task<void> {
+    const std::size_t b = 16_KiB;
+    const auto s1 = r.mem().alloc(b * 2, false);
+    const auto r1 = r.mem().alloc(b * 2, false);
+    const auto s2 = r.mem().alloc(b * 2, false);
+    const auto r2 = r.mem().alloc(b * 2, false);
+    for (int i = 0; i < 4; ++i) {
+      auto q = co_await r.blues->ialltoall(i % 2 ? s2 : s1, i % 2 ? r2 : r1, b,
+                                           r.world->mpi().world());
+      co_await r.blues->wait(q);
+    }
+    EXPECT_GT(r.blues->reg_cache().stats().evictions, 0u);
+    EXPECT_LE(r.blues->reg_cache().size(), 1u);
+  });
+  w.run();
+}
+
 TEST(BluesMpi, StagingSlowerThanProposedGvmiPath) {
   // Same pairwise exchange, measured once via BluesMPI (staged) and once
   // via the proposed group offload (direct GVMI): the staging hop must

@@ -187,7 +187,7 @@ struct FabricShape {
 const FabricShape kShapes[] = {
     {"single leaf", {}},
     {"fat-tree core (1 node/leaf, 2 spines, 2:1)",
-     {/*spines=*/2, /*leaf_radix=*/1, /*oversubscription=*/2.0, /*link_GBps=*/0.0}},
+     {/*spines=*/2, /*leaf_radix=*/1, /*oversubscription=*/2.0}},
 };
 
 using Workload = RunRecord (*)(std::uint64_t, const machine::TopologySpec&);

@@ -132,8 +132,8 @@ TEST(Fabric, OversubscriptionThrottlesCrossLeafAggregate) {
     s.nodes = 8;
     s.host_procs_per_node = 1;
     s.proxies_per_dpu = 1;
-    s.cost.radix = 2;
-    s.cost.oversubscription = oversub;
+    s.topology.leaf_radix = 2;
+    s.topology.oversubscription = oversub;
     return s;
   };
   auto last_delivery = [&](double oversub) {
@@ -205,8 +205,8 @@ TEST(Fabric, SameLeafTrafficIgnoresOversubscription) {
   s.nodes = 4;
   s.host_procs_per_node = 1;
   s.proxies_per_dpu = 1;
-  s.cost.radix = 4;  // all nodes on one leaf
-  s.cost.oversubscription = 8.0;
+  s.topology.leaf_radix = 4;  // all nodes on one leaf
+  s.topology.oversubscription = 8.0;
   sim::Engine eng;
   Fabric fab(eng, s);
   SimTime t = 0;

@@ -307,65 +307,73 @@ TEST(ProxyMatching, ConcurrentGroupsSharingTagMatchByRequestId) {
 // Regression: registration caches are single-flight
 // ---------------------------------------------------------------------------
 
-sim::Task<void> reg_get(mpi::RegCache& cache, verbs::ProcCtx& ctx, machine::Addr addr,
-                        std::size_t len, verbs::MrInfo* out,
-                        std::shared_ptr<sim::Event> done) {
-  *out = co_await cache.get(ctx, addr, len);
+// One body for every verbs::RegCache instance: two concurrent gets of one
+// key issue one registration (the second waits for it), and a later get of
+// the key is a plain hit on the same registration.
+
+std::uint64_t registered_key(const verbs::MrInfo& mr) { return mr.rkey; }
+std::uint64_t registered_key(const verbs::GvmiMrInfo& info) { return info.mkey; }
+std::uint64_t registered_key(verbs::MKey mkey2) { return mkey2; }
+
+template <class Value, class... Key>
+sim::Task<void> get_into(verbs::RegCache<Value>& cache, verbs::ProcCtx& ctx, Value* out,
+                         std::shared_ptr<sim::Event> done, Key... key) {
+  *out = co_await cache.get(ctx, key...);
   done->set();
+}
+
+template <class Value, class... Key>
+sim::Task<void> expect_single_flight(sim::Engine& eng, verbs::RegCache<Value>& cache,
+                                     verbs::ProcCtx& ctx, Key... key) {
+  auto d1 = std::make_shared<sim::Event>(eng);
+  auto d2 = std::make_shared<sim::Event>(eng);
+  Value v1{};
+  Value v2{};
+  eng.spawn(get_into(cache, ctx, &v1, d1, key...), "get1");
+  eng.spawn(get_into(cache, ctx, &v2, d2, key...), "get2");
+  co_await d1->wait();
+  co_await d2->wait();
+  EXPECT_EQ(cache.stats().misses, 1u);     // one registration on the wire
+  EXPECT_EQ(cache.stats().coalesced, 1u);  // the second get waited for it
+  EXPECT_EQ(cache.stats().hits, 0u);
+  EXPECT_EQ(registered_key(v1), registered_key(v2));
+  const Value v3 = co_await cache.get(ctx, key...);  // now a plain hit
+  EXPECT_EQ(registered_key(v3), registered_key(v1));
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(CacheSingleFlight, ConcurrentRegCacheMissesCoalesce) {
   World w(small_spec(2, 1));
   w.launch(0, [&](Rank& r) -> sim::Task<void> {
-    auto& cache = r.off->ib_cache();
     const auto buf = r.mem().alloc(64_KiB);
-    auto d1 = std::make_shared<sim::Event>(r.world->engine());
-    auto d2 = std::make_shared<sim::Event>(r.world->engine());
-    verbs::MrInfo mr1;
-    verbs::MrInfo mr2;
-    r.world->engine().spawn(reg_get(cache, *r.vctx, buf, 64_KiB, &mr1, d1), "get1");
-    r.world->engine().spawn(reg_get(cache, *r.vctx, buf, 64_KiB, &mr2, d2), "get2");
-    co_await d1->wait();
-    co_await d2->wait();
-    EXPECT_EQ(cache.stats().misses, 1u);     // one registration on the wire
-    EXPECT_EQ(cache.stats().coalesced, 1u);  // the second get waited for it
-    EXPECT_EQ(cache.stats().hits, 0u);
-    EXPECT_EQ(mr1.rkey, mr2.rkey);
-    auto mr3 = co_await cache.get(*r.vctx, buf, 64_KiB);  // now a plain hit
-    EXPECT_EQ(mr3.rkey, mr1.rkey);
-    EXPECT_EQ(cache.stats().hits, 1u);
-    EXPECT_EQ(cache.stats().misses, 1u);
+    co_await expect_single_flight(r.world->engine(), r.off->ib_cache(), *r.vctx, buf, 64_KiB);
   });
   w.run();
-}
-
-sim::Task<void> gvmi_get(HostGvmiCache& cache, verbs::ProcCtx& ctx, int proxy,
-                         verbs::GvmiId gvmi, machine::Addr addr, std::size_t len,
-                         verbs::GvmiMrInfo* out, std::shared_ptr<sim::Event> done) {
-  *out = co_await cache.get(ctx, proxy, gvmi, addr, len);
-  done->set();
 }
 
 TEST(CacheSingleFlight, ConcurrentGvmiCacheMissesCoalesce) {
   World w(small_spec(2, 1));
   w.launch(0, [&](Rank& r) -> sim::Task<void> {
-    auto& cache = r.off->gvmi_cache();
     const int proxy = r.world->spec().proxy_for_host(r.rank);
     const verbs::GvmiId gvmi = r.world->offload().gvmi_of(proxy);
     const auto buf = r.mem().alloc(64_KiB);
-    auto d1 = std::make_shared<sim::Event>(r.world->engine());
-    auto d2 = std::make_shared<sim::Event>(r.world->engine());
-    verbs::GvmiMrInfo g1;
-    verbs::GvmiMrInfo g2;
-    r.world->engine().spawn(gvmi_get(cache, *r.vctx, proxy, gvmi, buf, 64_KiB, &g1, d1),
-                            "gvmi1");
-    r.world->engine().spawn(gvmi_get(cache, *r.vctx, proxy, gvmi, buf, 64_KiB, &g2, d2),
-                            "gvmi2");
-    co_await d1->wait();
-    co_await d2->wait();
-    EXPECT_EQ(cache.stats().misses, 1u);
-    EXPECT_EQ(cache.stats().coalesced, 1u);
-    EXPECT_EQ(g1.mkey, g2.mkey);
+    co_await expect_single_flight(r.world->engine(), r.off->gvmi_cache(), *r.vctx, proxy,
+                                  gvmi, buf, 64_KiB);
+  });
+  w.run();
+}
+
+TEST(CacheSingleFlight, ConcurrentCrossRegMissesCoalesce) {
+  World w(small_spec(2, 1));
+  w.launch(0, [&](Rank& r) -> sim::Task<void> {
+    const int proxy = r.world->spec().proxy_for_host(r.rank);
+    const auto buf = r.mem().alloc(64_KiB);
+    const verbs::GvmiMrInfo info =
+        co_await r.vctx->reg_mr_gvmi(buf, 64_KiB, r.world->offload().gvmi_of(proxy));
+    co_await expect_single_flight(r.world->engine(), r.world->offload().proxy(proxy).gvmi_cache(),
+                                  r.world->verbs().ctx(proxy), r.rank, info);
   });
   w.run();
 }

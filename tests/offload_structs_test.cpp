@@ -1,20 +1,14 @@
 // Direct unit tests of the offload framework's data structures: the
-// RTS/RTR matching queues (fig. 8) and the array-of-BST GVMI caches
-// (§VII-B), outside any full simulation.
+// RTS/RTR matching queues (fig. 8) and the wire-message registry, outside
+// any full simulation. The §VII-B registration caches are verbs::RegCache,
+// tested in verbs_test.cpp.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <set>
 #include <string>
 #include <type_traits>
 
-#include "common/units.h"
-#include "fabric/fabric.h"
-#include "machine/spec.h"
-#include "offload/gvmi_cache.h"
 #include "offload/match_queues.h"
-#include "sim/engine.h"
-#include "verbs/verbs.h"
 
 namespace dpu::offload {
 namespace {
@@ -102,116 +96,6 @@ TEST(MatchQueues, ManyInterleavedPairsAllMatch) {
   EXPECT_EQ(matched, 100);
   EXPECT_EQ(q.pending_sends(), 0u);
   EXPECT_EQ(q.pending_recvs(), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// GVMI caches against a live verbs runtime.
-// ---------------------------------------------------------------------------
-
-struct CacheFixture {
-  machine::ClusterSpec spec;
-  sim::Engine eng;
-  std::unique_ptr<fabric::Fabric> fab;
-  std::unique_ptr<verbs::Runtime> rt;
-
-  CacheFixture() {
-    spec.nodes = 2;
-    spec.host_procs_per_node = 2;
-    spec.proxies_per_dpu = 2;
-    fab = std::make_unique<fabric::Fabric>(eng, spec);
-    rt = std::make_unique<verbs::Runtime>(eng, spec, *fab);
-  }
-
-  void drive(sim::Task<void> t) {
-    eng.spawn(std::move(t), "driver");
-    ASSERT_EQ(eng.run(), sim::RunResult::kCompleted);
-  }
-};
-
-TEST(HostGvmiCacheTest, HitSkipsRegistrationCost) {
-  CacheFixture f;
-  f.drive([](CacheFixture& f) -> sim::Task<void> {
-    HostGvmiCache cache(f.spec.total_procs());
-    const int proxy = f.spec.proxy_id(0, 0);
-    const auto gvmi = f.rt->ctx(proxy).alloc_gvmi_id();
-    const auto buf = f.rt->ctx(0).mem().alloc(64_KiB, false);
-    const SimTime t0 = f.eng.now();
-    auto a = co_await cache.get(f.rt->ctx(0), proxy, gvmi, buf, 64_KiB);
-    const SimDuration miss_cost = f.eng.now() - t0;
-    const SimTime t1 = f.eng.now();
-    auto b = co_await cache.get(f.rt->ctx(0), proxy, gvmi, buf, 64_KiB);
-    const SimDuration hit_cost = f.eng.now() - t1;
-    EXPECT_EQ(a.mkey, b.mkey);
-    EXPECT_GT(miss_cost, 0u);
-    EXPECT_EQ(hit_cost, 0u);
-    EXPECT_EQ(cache.stats().misses, 1u);
-    EXPECT_EQ(cache.stats().hits, 1u);
-  }(f));
-}
-
-TEST(HostGvmiCacheTest, DistinctRanksDistinctTrees) {
-  CacheFixture f;
-  f.drive([](CacheFixture& f) -> sim::Task<void> {
-    HostGvmiCache cache(f.spec.total_procs());
-    const int proxy_a = f.spec.proxy_id(0, 0);
-    const int proxy_b = f.spec.proxy_id(0, 1);
-    const auto gvmi_a = f.rt->ctx(proxy_a).alloc_gvmi_id();
-    const auto gvmi_b = f.rt->ctx(proxy_b).alloc_gvmi_id();
-    const auto buf = f.rt->ctx(0).mem().alloc(4_KiB, false);
-    auto a = co_await cache.get(f.rt->ctx(0), proxy_a, gvmi_a, buf, 4_KiB);
-    auto b = co_await cache.get(f.rt->ctx(0), proxy_b, gvmi_b, buf, 4_KiB);
-    // Same buffer registered against two GVMI-IDs: two distinct entries.
-    EXPECT_NE(a.mkey, b.mkey);
-    EXPECT_EQ(cache.stats().misses, 2u);
-    EXPECT_EQ(cache.entries(), 2u);
-  }(f));
-}
-
-TEST(HostGvmiCacheTest, DifferentLengthIsDifferentEntry) {
-  CacheFixture f;
-  f.drive([](CacheFixture& f) -> sim::Task<void> {
-    HostGvmiCache cache(f.spec.total_procs());
-    const int proxy = f.spec.proxy_id(0, 0);
-    const auto gvmi = f.rt->ctx(proxy).alloc_gvmi_id();
-    const auto buf = f.rt->ctx(0).mem().alloc(64_KiB, false);
-    auto a = co_await cache.get(f.rt->ctx(0), proxy, gvmi, buf, 32_KiB);
-    auto b = co_await cache.get(f.rt->ctx(0), proxy, gvmi, buf, 64_KiB);
-    EXPECT_NE(a.mkey, b.mkey);
-    EXPECT_EQ(cache.stats().misses, 2u);
-  }(f));
-}
-
-TEST(HostGvmiCacheTest, EvictForcesReRegistration) {
-  CacheFixture f;
-  f.drive([](CacheFixture& f) -> sim::Task<void> {
-    HostGvmiCache cache(f.spec.total_procs());
-    const int proxy = f.spec.proxy_id(0, 0);
-    const auto gvmi = f.rt->ctx(proxy).alloc_gvmi_id();
-    const auto buf = f.rt->ctx(0).mem().alloc(4_KiB, false);
-    (void)co_await cache.get(f.rt->ctx(0), proxy, gvmi, buf, 4_KiB);
-    EXPECT_TRUE(cache.evict(proxy, buf, 4_KiB));
-    EXPECT_FALSE(cache.evict(proxy, buf, 4_KiB));  // already gone
-    (void)co_await cache.get(f.rt->ctx(0), proxy, gvmi, buf, 4_KiB);
-    EXPECT_EQ(cache.stats().misses, 2u);
-  }(f));
-}
-
-TEST(DpuGvmiCacheTest, CrossRegistrationCachedPerHostRank) {
-  CacheFixture f;
-  f.drive([](CacheFixture& f) -> sim::Task<void> {
-    const int proxy = f.spec.proxy_id(0, 0);
-    auto& host = f.rt->ctx(0);
-    auto& dpu = f.rt->ctx(proxy);
-    const auto gvmi = dpu.alloc_gvmi_id();
-    const auto buf = host.mem().alloc(16_KiB, false);
-    auto info = co_await host.reg_mr_gvmi(buf, 16_KiB, gvmi);
-    DpuGvmiCache cache(f.spec.total_procs());
-    auto a = co_await cache.get(dpu, 0, info);
-    auto b = co_await cache.get(dpu, 0, info);
-    EXPECT_EQ(a.mkey2, b.mkey2);
-    EXPECT_EQ(cache.stats().misses, 1u);
-    EXPECT_EQ(cache.stats().hits, 1u);
-  }(f));
 }
 
 // ---------------------------------------------------------------------------

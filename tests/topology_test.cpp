@@ -65,7 +65,7 @@ TEST(TopologyPin, DefaultNonBlockingCoreMatchesFlatModel) {
     SCOPED_TRACE("leaf_radix=" + std::to_string(radix));
     machine::ClusterSpec s;
     s.nodes = 8;
-    s.cost.radix = radix;
+    s.topology.leaf_radix = radix;
     const RunDigest d = legacy_workload_digest(s);
     EXPECT_EQ(d.deliveries, 32u);
     EXPECT_EQ(d.final_time, SimTime{252121332});
@@ -76,8 +76,8 @@ TEST(TopologyPin, DefaultNonBlockingCoreMatchesFlatModel) {
 TEST(TopologyPin, OversubscribedSingleSpineMatchesFlatPooledCore) {
   machine::ClusterSpec s;
   s.nodes = 8;
-  s.cost.radix = 2;  // 4 leaves of 2
-  s.cost.oversubscription = 4.0;
+  s.topology.leaf_radix = 2;  // 4 leaves of 2
+  s.topology.oversubscription = 4.0;
   const RunDigest d = legacy_workload_digest(s);
   EXPECT_EQ(d.deliveries, 32u);
   EXPECT_EQ(d.final_time, SimTime{962094664});
@@ -87,8 +87,8 @@ TEST(TopologyPin, OversubscribedSingleSpineMatchesFlatPooledCore) {
 TEST(TopologyPin, MidOversubscriptionMatchesFlatPooledCore) {
   machine::ClusterSpec s;
   s.nodes = 16;
-  s.cost.radix = 4;  // 4 leaves of 4
-  s.cost.oversubscription = 2.0;
+  s.topology.leaf_radix = 4;  // 4 leaves of 4
+  s.topology.oversubscription = 2.0;
   const RunDigest d = legacy_workload_digest(s);
   EXPECT_EQ(d.deliveries, 64u);
   EXPECT_EQ(d.final_time, SimTime{426883996});
@@ -101,22 +101,15 @@ TEST(TopologySpecValidation, AcceptsAndResolvesInheritedDefaults) {
   machine::ClusterSpec s;
   s.nodes = 8;
   const machine::Topology t = s.resolve_topology();
-  EXPECT_EQ(t.leaf_radix, s.cost.radix);
+  EXPECT_EQ(t.leaf_radix, 16);
   EXPECT_EQ(t.spines, 1);
+  EXPECT_DOUBLE_EQ(t.oversubscription, 1.0);
   EXPECT_EQ(t.leaves, 1);  // 8 nodes fit one radix-16 leaf
   EXPECT_FALSE(t.core_active());
   EXPECT_DOUBLE_EQ(t.link_GBps, s.cost.nic_bandwidth_GBps);
 }
 
 TEST(TopologySpecValidation, RejectsZeroRateLinkNamingField) {
-  machine::ClusterSpec s;
-  s.topology.link_GBps = -3.0;
-  try {
-    (void)s.resolve_topology();
-    FAIL() << "zero-rate link accepted";
-  } catch (const machine::SpecError& e) {
-    EXPECT_EQ(e.field(), "TopologySpec.link_GBps");
-  }
   machine::ClusterSpec n;
   n.cost.nic_bandwidth_GBps = 0.0;
   try {

@@ -14,6 +14,7 @@
 #include "fabric/fabric.h"
 #include "machine/spec.h"
 #include "sim/engine.h"
+#include "verbs/reg_cache.h"
 #include "verbs/verbs.h"
 
 namespace dpu::verbs {
@@ -266,7 +267,7 @@ TEST(Verbs, HostGvmiRegRejectsUnknownId) {
   }(f));
 }
 
-TEST(Verbs, OnBehalfWriteRejectsStaleMkey2AfterHostDereg) {
+TEST(Verbs, OnBehalfWriteRejectsSourceOutsideCrossRegisteredRange) {
   Fixture f;
   f.drive([](Fixture& f) -> sim::Task<void> {
     const int proxy = f.spec.proxy_id(0, 0);
@@ -284,6 +285,33 @@ TEST(Verbs, OnBehalfWriteRejectsStaleMkey2AfterHostDereg) {
     try {
       (void)co_await dpu.post_rdma_write_on_behalf(mkey2, src + 1, 2, dst_mr.rkey, dst,
                                                    4_KiB);
+    } catch (const SimError&) {
+      threw = true;
+    }
+    EXPECT_TRUE(threw);
+  }(f));
+}
+
+TEST(Verbs, OnBehalfWriteRejectsStaleMkey2AfterHostDereg) {
+  Fixture f;
+  f.drive([](Fixture& f) -> sim::Task<void> {
+    const int proxy = f.spec.proxy_id(0, 0);
+    auto& host = f.rt->ctx(0);
+    auto& dpu = f.rt->ctx(proxy);
+    auto& dst_host = f.rt->ctx(2);
+    const auto src = host.mem().alloc(4_KiB);
+    const auto dst = dst_host.mem().alloc(4_KiB);
+    const GvmiId gvmi = dpu.alloc_gvmi_id();
+    auto ginfo = co_await host.reg_mr_gvmi(src, 4_KiB, gvmi);
+    auto dst_mr = co_await dst_host.reg_mr(dst, 4_KiB);
+    const MKey mkey2 = co_await dpu.cross_register(ginfo);
+    auto ok = co_await dpu.post_rdma_write_on_behalf(mkey2, src, 2, dst_mr.rkey, dst, 4_KiB);
+    co_await dpu.wait(ok);
+    // Deregistering the host registration revokes the mkey2 derived from it.
+    co_await host.dereg_mr_gvmi(ginfo);
+    bool threw = false;
+    try {
+      (void)co_await dpu.post_rdma_write_on_behalf(mkey2, src, 2, dst_mr.rkey, dst, 4_KiB);
     } catch (const SimError&) {
       threw = true;
     }
@@ -428,8 +456,8 @@ TEST(Verbs, HookedOnBehalfWriteRunsHookAtDelivery) {
       hook_ran = check_pattern(dst_host.mem().read(dst, 4_KiB), 8);
       (void)f;
     };
-    auto c = co_await dpu.post_rdma_write_on_behalf_hooked(mkey2, src, 2, dst_mr.rkey, dst,
-                                                           4_KiB, std::move(hook));
+    auto c = co_await dpu.post_rdma_write_on_behalf(mkey2, src, 2, dst_mr.rkey, dst, 4_KiB,
+                                                    std::move(hook));
     co_await dpu.wait(c);
     EXPECT_TRUE(hook_ran);
   }(f));
@@ -481,6 +509,107 @@ TEST(Verbs, SameNodeDataUsesPcieNotNicPorts) {
     const SimDuration near_t = f.eng.now() - t0;
     co_await a.wait(big_c);
     EXPECT_LT(to_us(near_t), 50.0);  // unaffected by the 8 MiB wire transfer
+  }(f));
+}
+
+// ---------------------------------------------------------------------------
+// Registration cache (reg_cache.h): the host GVMI instance stands in for the
+// shared template wherever the registration call does not matter.
+// ---------------------------------------------------------------------------
+
+using GvmiCache = RegCache<GvmiMrInfo>;
+
+TEST(RegCache, HitSkipsRegistrationCost) {
+  Fixture f;
+  f.drive([](Fixture& f) -> sim::Task<void> {
+    GvmiCache cache(f.spec.total_procs());
+    const int proxy = f.spec.proxy_id(0, 0);
+    const auto gvmi = f.rt->ctx(proxy).alloc_gvmi_id();
+    const auto buf = f.rt->ctx(0).mem().alloc(64_KiB, false);
+    const SimTime t0 = f.eng.now();
+    auto a = co_await cache.get(f.rt->ctx(0), proxy, gvmi, buf, 64_KiB);
+    const SimDuration miss_cost = f.eng.now() - t0;
+    const SimTime t1 = f.eng.now();
+    auto b = co_await cache.get(f.rt->ctx(0), proxy, gvmi, buf, 64_KiB);
+    const SimDuration hit_cost = f.eng.now() - t1;
+    EXPECT_EQ(a.mkey, b.mkey);
+    EXPECT_GT(miss_cost, 0u);
+    EXPECT_EQ(hit_cost, 0u);
+    EXPECT_EQ(cache.stats().misses, 1u);
+    EXPECT_EQ(cache.stats().hits, 1u);
+  }(f));
+}
+
+TEST(RegCache, DistinctPeersDistinctTrees) {
+  Fixture f(/*nodes=*/2, /*ppn=*/2, /*proxies=*/2);
+  f.drive([](Fixture& f) -> sim::Task<void> {
+    GvmiCache cache(f.spec.total_procs());
+    const int proxy_a = f.spec.proxy_id(0, 0);
+    const int proxy_b = f.spec.proxy_id(0, 1);
+    const auto gvmi_a = f.rt->ctx(proxy_a).alloc_gvmi_id();
+    const auto gvmi_b = f.rt->ctx(proxy_b).alloc_gvmi_id();
+    const auto buf = f.rt->ctx(0).mem().alloc(4_KiB, false);
+    auto a = co_await cache.get(f.rt->ctx(0), proxy_a, gvmi_a, buf, 4_KiB);
+    auto b = co_await cache.get(f.rt->ctx(0), proxy_b, gvmi_b, buf, 4_KiB);
+    // Same buffer registered against two GVMI-IDs: two distinct entries.
+    EXPECT_NE(a.mkey, b.mkey);
+    EXPECT_EQ(cache.stats().misses, 2u);
+    EXPECT_EQ(cache.size(), 2u);
+  }(f));
+}
+
+TEST(RegCache, DifferentLengthIsDifferentEntry) {
+  Fixture f;
+  f.drive([](Fixture& f) -> sim::Task<void> {
+    GvmiCache cache(f.spec.total_procs());
+    const int proxy = f.spec.proxy_id(0, 0);
+    const auto gvmi = f.rt->ctx(proxy).alloc_gvmi_id();
+    const auto buf = f.rt->ctx(0).mem().alloc(64_KiB, false);
+    auto a = co_await cache.get(f.rt->ctx(0), proxy, gvmi, buf, 32_KiB);
+    auto b = co_await cache.get(f.rt->ctx(0), proxy, gvmi, buf, 64_KiB);
+    EXPECT_NE(a.mkey, b.mkey);
+    EXPECT_EQ(cache.stats().misses, 2u);
+  }(f));
+}
+
+TEST(RegCache, EvictForcesReRegistration) {
+  Fixture f;
+  f.drive([](Fixture& f) -> sim::Task<void> {
+    GvmiCache cache(f.spec.total_procs());
+    const int proxy = f.spec.proxy_id(0, 0);
+    const auto gvmi = f.rt->ctx(proxy).alloc_gvmi_id();
+    const auto buf = f.rt->ctx(0).mem().alloc(4_KiB, false);
+    (void)co_await cache.get(f.rt->ctx(0), proxy, gvmi, buf, 4_KiB);
+    EXPECT_TRUE(cache.evict(proxy, buf, 4_KiB));
+    EXPECT_FALSE(cache.evict(proxy, buf, 4_KiB));  // already gone
+    EXPECT_EQ(cache.size(), 0u);
+    (void)co_await cache.get(f.rt->ctx(0), proxy, gvmi, buf, 4_KiB);
+    EXPECT_EQ(cache.stats().misses, 2u);
+  }(f));
+}
+
+TEST(RegCache, HitRefreshesLruRecency) {
+  // Capacity 2: get A, B, A (a hit), then C. The hit made B the least
+  // recently used entry, so C evicts B and A stays.
+  Fixture f;
+  f.drive([](Fixture& f) -> sim::Task<void> {
+    GvmiCache cache(f.spec.total_procs(), /*capacity=*/2);
+    const int proxy = f.spec.proxy_id(0, 0);
+    const auto gvmi = f.rt->ctx(proxy).alloc_gvmi_id();
+    auto& host = f.rt->ctx(0);
+    const auto a = host.mem().alloc(4_KiB, false);
+    const auto b = host.mem().alloc(4_KiB, false);
+    const auto c = host.mem().alloc(4_KiB, false);
+    (void)co_await cache.get(host, proxy, gvmi, a, 4_KiB);
+    (void)co_await cache.get(host, proxy, gvmi, b, 4_KiB);
+    (void)co_await cache.get(host, proxy, gvmi, a, 4_KiB);
+    (void)co_await cache.get(host, proxy, gvmi, c, 4_KiB);
+    EXPECT_EQ(cache.stats().evictions, 1u);
+    EXPECT_EQ(cache.size(), 2u);
+    EXPECT_TRUE(cache.evict(proxy, a, 4_KiB));   // A survived
+    EXPECT_FALSE(cache.evict(proxy, b, 4_KiB));  // B was the one evicted
+    EXPECT_EQ(cache.stats().hits, 1u);
+    EXPECT_EQ(cache.stats().misses, 3u);
   }(f));
 }
 
