@@ -67,10 +67,10 @@ DPU_BENCH_FAST=1 "$BUILD_DIR"/bench/ablation_pipeline > /dev/null
 echo "== scale_alltoall smoke (sanitized) =="
 "$BUILD_DIR"/bench/scale_alltoall --smoke > /dev/null
 
-# Multi-tenant suite + pool smoke: tenant-scoped protocol keys, admission
-# rejection, fair-queue bookkeeping and finalize-time pruning all mutate
-# per-tenant maps on paths single-tenant runs never touch — run the suite
-# and a small tenant-count sweep under ASan/UBSan explicitly.
+# Multi-tenant suite + pool smoke: admission rejection, fair-queue picks
+# between tenants and finalize-time pruning while another tenant still runs
+# are paths single-tenant runs never take — run the suite and a small
+# tenant-count sweep under ASan/UBSan explicitly.
 echo "== multi-tenant suite (sanitized) =="
 "$BUILD_DIR"/tests/tenant_test
 echo "== ablation_tenants smoke (sanitized) =="

@@ -16,13 +16,13 @@ namespace dpu::offload {
 
 OffloadRuntime::OffloadRuntime(verbs::Runtime& vrt) : vrt_(vrt) {
   const auto& spec = vrt.spec();
-  if (spec.multi_tenant()) {
-    // Per-tenant pool state + counters. Linked only here, so single-tenant
-    // metrics JSON stays byte-identical.
-    tenant_inflight_.assign(static_cast<std::size_t>(spec.num_tenants()), 0);
-    auto& reg = vrt.engine().metrics();
-    for (int t = 0; t < spec.num_tenants(); ++t) {
-      auto st = std::make_unique<TenantStats>();
+  // One TenantStats per tenant, the implicit tenant of a single-tenant world
+  // included. Only multi-tenant worlds link them (and keep quota state), so
+  // single-tenant metrics JSON stays byte-identical.
+  auto& reg = vrt.engine().metrics();
+  for (int t = 0; t < spec.num_tenants(); ++t) {
+    auto st = std::make_unique<TenantStats>();
+    if (spec.multi_tenant()) {
       const std::string prefix = "offload.tenant" + std::to_string(t) + ".";
       reg.link(prefix + "ops_admitted", &st->ops_admitted);
       reg.link(prefix + "ops_rejected", &st->ops_rejected);
@@ -30,8 +30,11 @@ OffloadRuntime::OffloadRuntime(verbs::Runtime& vrt) : vrt_(vrt) {
       reg.link(prefix + "pairs_completed", &st->pairs_completed);
       reg.link(prefix + "jobs_completed", &st->jobs_completed);
       reg.link(prefix + "entries_advanced", &st->entries_advanced);
-      tenant_stats_.push_back(std::move(st));
     }
+    tenant_stats_.push_back(std::move(st));
+  }
+  if (spec.multi_tenant()) {
+    tenant_inflight_.assign(static_cast<std::size_t>(spec.num_tenants()), 0);
   }
   // Proxies first (Init_Offload generates GVMI-IDs on the DPU side and the
   // ids are exchanged with every process in the global communicator).
@@ -368,7 +371,7 @@ sim::Task<OffloadReqPtr> OffloadEndpoint::send_offload(machine::Addr addr, std::
       const std::size_t clen =
           chunk_len(len, rt_.spec().cost.chunk_bytes, ck.index, ck.count);
       if (auto* chk = rt_.engine().checker()) chk->on_rts(rank_, dst, tag, ck.index, ck.count);
-      ProxyCtrl rts = RtsProxyMsg{rank_, dst, tag, clen, info, req->flag, ck, req->cd, tenant_};
+      ProxyCtrl rts = RtsProxyMsg{rank_, dst, tag, clen, info, req->flag, ck, req->cd};
       co_await retx_.send(ck.owner_proxy, kProxyInbox, std::move(rts), 0);
       ++ctrl_sent_;
     }
@@ -376,7 +379,7 @@ sim::Task<OffloadReqPtr> OffloadEndpoint::send_offload(machine::Addr addr, std::
   }
   // NB: named locals, not temporaries — see the GCC 12 note in sim/task.h.
   if (auto* chk = rt_.engine().checker()) chk->on_rts(rank_, dst, tag, 0, 1);
-  ProxyCtrl rts = RtsProxyMsg{rank_, dst, tag, len, info, req->flag, {}, {}, tenant_};
+  ProxyCtrl rts = RtsProxyMsg{rank_, dst, tag, len, info, req->flag, {}, {}};
   co_await retx_.send(proxy, kProxyInbox, std::move(rts), 0);
   ++ctrl_sent_;
   co_return req;
@@ -432,15 +435,15 @@ sim::Task<OffloadReqPtr> OffloadEndpoint::recv_offload(machine::Addr addr, std::
       const std::size_t clen =
           chunk_len(len, rt_.spec().cost.chunk_bytes, ck.index, ck.count);
       if (auto* chk = rt_.engine().checker()) chk->on_rtr(src, rank_, tag, ck.index, ck.count);
-      ProxyCtrl rtr = RtrProxyMsg{src,     rank_,     tag, clen,    addr + ck.offset,
-                                  mr.rkey, req->flag, ck,  req->cd, tenant_};
+      ProxyCtrl rtr =
+          RtrProxyMsg{src, rank_, tag, clen, addr + ck.offset, mr.rkey, req->flag, ck, req->cd};
       co_await retx_.send(ck.owner_proxy, kProxyInbox, std::move(rtr), 0);
       ++ctrl_sent_;
     }
     co_return req;
   }
   if (auto* chk = rt_.engine().checker()) chk->on_rtr(src, rank_, tag, 0, 1);
-  ProxyCtrl rtr = RtrProxyMsg{src, rank_, tag, len, addr, mr.rkey, req->flag, {}, {}, tenant_};
+  ProxyCtrl rtr = RtrProxyMsg{src, rank_, tag, len, addr, mr.rkey, req->flag, {}, {}};
   co_await retx_.send(proxy, kProxyInbox, std::move(rtr), 0);
   ++ctrl_sent_;
   co_return req;
@@ -449,7 +452,7 @@ sim::Task<OffloadReqPtr> OffloadEndpoint::recv_offload(machine::Addr addr, std::
 sim::Task<void> OffloadEndpoint::degrade_basic(const OffloadReqPtr& req) {
   req->degraded = true;
   ++rt_.engine().metrics().counter("offload.failover.basic_degraded");
-  if (rt_.spec().multi_tenant()) ++rt_.tenant_stats(tenant_).ops_degraded;
+  ++rt_.tenant_stats(tenant_).ops_degraded;
   // Best-effort fence: a hung proxy that later recovers must not re-run a
   // pair the hosts already completed on the fallback path.
   const int src = req->is_send ? rank_ : req->peer;
@@ -497,7 +500,7 @@ sim::Task<bool> OffloadEndpoint::advance_striped(const OffloadReqPtr& req) {
       co_return true;
     }
     req->degraded = true;
-    if (rt_.spec().multi_tenant()) ++rt_.tenant_stats(tenant_).ops_degraded;
+    ++rt_.tenant_stats(tenant_).ops_degraded;
     const int src = req->is_send ? rank_ : req->peer;
     const int dst = req->is_send ? req->peer : rank_;
     if (auto* chk = rt_.engine().checker()) chk->on_basic_degraded(src, dst, req->tag);
@@ -634,13 +637,10 @@ sim::Task<Status> OffloadEndpoint::finalize() {
     for (int l = 0; l < rt_.spec().proxies_per_dpu; ++l) {
       const int p = rt_.spec().proxy_id(node, l);
       if (p == my_proxy) continue;
-      // Multi-tenant: only this tenant's workers ever received delegated
-      // chunks from this host (fault-domain isolation), so only they expect
-      // its stop — a stop at a foreign tenant's worker would skew its
-      // expected-stop accounting.
-      if (rt_.spec().multi_tenant() && !rt_.spec().proxy_serves_tenant(p, tenant_)) {
-        continue;
-      }
+      // Only this tenant's workers ever received delegated chunks from this
+      // host (fault-domain isolation), so only they expect its stop — a stop
+      // at a foreign tenant's worker would skew its expected-stop accounting.
+      if (!rt_.spec().proxy_serves_tenant(p, tenant_)) continue;
       ProxyCtrl stop = StopMsg{rank_};
       co_await retx_.send(p, kProxyInbox, std::move(stop), 0);
       ++ctrl_sent_;
@@ -893,7 +893,7 @@ sim::Task<void> OffloadEndpoint::group_call(const GroupReqPtr& req) {
     // §VII-D cache hit: all metadata already lives on the proxy; send only
     // the request id.
     ++group_hits_;
-    ProxyCtrl cc = GroupCachedCallMsg{rank_, req->id, req->current_flag, tenant_};
+    ProxyCtrl cc = GroupCachedCallMsg{rank_, req->id, req->current_flag};
     co_await retx_.send(my_proxy, kProxyInbox, std::move(cc), 0);
     ++ctrl_sent_;
     co_return;
@@ -931,7 +931,7 @@ sim::Task<void> OffloadEndpoint::group_call(const GroupReqPtr& req) {
   for (auto& [peer, entries] : meta_out) {
     const auto bytes =
         static_cast<std::size_t>(cost.group_entry_bytes * static_cast<double>(entries.size()));
-    GroupMetaMsg meta = GroupMetaMsg{rank_, req->id, std::move(entries), tenant_};
+    GroupMetaMsg meta = GroupMetaMsg{rank_, req->id, std::move(entries)};
     co_await retx_.send(peer, kGroupMetaInbox, std::move(meta), bytes);
     ++ctrl_sent_;
   }
@@ -974,7 +974,8 @@ sim::Task<void> OffloadEndpoint::group_call(const GroupReqPtr& req) {
     GroupMetaMsg meta = co_await await_meta_from(dst);
     // Rank sets are disjoint, so cross-tenant metadata can only mean a
     // mis-specified application (a group spanning two tenants' ranks).
-    sim_expect(meta.tenant == tenant_, "group metadata crossed a tenant boundary");
+    sim_expect(rt_.spec().tenant_of_host(meta.from_rank) == tenant_,
+               "group metadata crossed a tenant boundary");
     dst_req[dst] = meta.req_id;
     for (auto& e : meta.entries) by_dst_tag[dst][e.tag].push_back(e);
   }
@@ -998,7 +999,7 @@ sim::Task<void> OffloadEndpoint::group_call(const GroupReqPtr& req) {
   // 5. One contiguous Group_Offload_packet to my proxy.
   const auto pkt_bytes =
       static_cast<std::size_t>(cost.group_entry_bytes * static_cast<double>(req->ops.size()));
-  ProxyCtrl pkt = GroupPacketMsg{rank_, req->id, req->ops, req->current_flag, tenant_};
+  ProxyCtrl pkt = GroupPacketMsg{rank_, req->id, req->ops, req->current_flag};
   co_await retx_.send(my_proxy, kProxyInbox, std::move(pkt), pkt_bytes);
   ++ctrl_sent_;
   if (group_cache_enabled_) req->sent_to_proxy = true;
@@ -1052,7 +1053,7 @@ int OffloadEndpoint::live_sibling_of(int proxy) const {
     // Fault-domain isolation: failover load never rides another tenant's
     // workers. A tenant without a live worker of its own degrades to the
     // host path instead of leaking onto a neighbour's proxy.
-    if (spec.multi_tenant() && !spec.proxy_serves_tenant(cand, tenant_)) continue;
+    if (!spec.proxy_serves_tenant(cand, tenant_)) continue;
     return cand;
   }
   return -1;
@@ -1097,7 +1098,7 @@ sim::Task<void> OffloadEndpoint::redispatch_to_sibling(const GroupReqPtr& req, i
   // The checker treats a sibling re-dispatch like a degrade: it authorizes
   // the fence on the old home (and any fenced-arrival swallows there).
   if (auto* chk = rt_.engine().checker()) chk->on_group_degraded(rank_, req->id);
-  ProxyLive fence = FenceGroupMsg{rank_, req->id, tenant_};
+  ProxyLive fence = FenceGroupMsg{rank_, req->id};
   co_await vc.post_ctrl(old, kProxyLiveInbox, std::move(fence), 0);
   // Re-register the send buffers against the sibling's GVMI and ship the
   // full packet — the sibling has no recorded template for this request.
@@ -1126,7 +1127,7 @@ sim::Task<void> OffloadEndpoint::redispatch_to_sibling(const GroupReqPtr& req, i
   const auto& cost = rt_.spec().cost;
   const auto pkt_bytes = static_cast<std::size_t>(
       cost.group_entry_bytes * static_cast<double>(req->ops.size()));
-  ProxyCtrl pkt = GroupPacketMsg{rank_, req->id, req->ops, req->current_flag, tenant_};
+  ProxyCtrl pkt = GroupPacketMsg{rank_, req->id, req->ops, req->current_flag};
   co_await retx_.send(sib, kProxyInbox, std::move(pkt), pkt_bytes);
   ++ctrl_sent_;
   ++rt_.engine().metrics().counter("offload.failover.sibling_redispatch");
@@ -1140,7 +1141,7 @@ sim::Task<void> OffloadEndpoint::degrade_group(const GroupReqPtr& req, int dead_
   req->fb_next = 0;
   req->fb_inflight.clear();
   ++rt_.engine().metrics().counter("offload.failover.groups_degraded");
-  if (rt_.spec().multi_tenant()) ++rt_.tenant_stats(tenant_).ops_degraded;
+  ++rt_.tenant_stats(tenant_).ops_degraded;
   // Snapshot the delivery ledgers into a per-entry skip mask, walking in
   // program order with per-(peer, tag) cursors — the same FIFO order the
   // proxies matched in. Both ends of every transfer heard about it from the
@@ -1173,7 +1174,7 @@ sim::Task<void> OffloadEndpoint::degrade_group(const GroupReqPtr& req, int dead_
   // Fence whichever proxy holds (or held) my job instance, then flood the
   // certificate through the peer graph.
   const int tgt = current_target(*req);
-  ProxyLive fence = FenceGroupMsg{rank_, req->id, tenant_};
+  ProxyLive fence = FenceGroupMsg{rank_, req->id};
   co_await vctx().post_ctrl(tgt, kProxyLiveInbox, std::move(fence), 0);
   co_await flood_degrade(req, dead_proxy);
 }

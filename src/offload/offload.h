@@ -109,9 +109,9 @@ class OffloadEndpoint {
   OffloadEndpoint(OffloadRuntime& rt, int rank);
 
   int rank() const { return rank_; }
-  /// Tenant owning this rank (0 in single-tenant worlds). Scopes every
-  /// control message, proxy-side key, and failover MPI context this
-  /// endpoint produces.
+  /// Tenant owning this rank (0 in single-tenant worlds): its admission
+  /// quota, stats and failover MPI contexts. Control messages carry only
+  /// the rank; receivers derive the tenant from it.
   int tenant() const { return tenant_; }
   OffloadRuntime& runtime() { return rt_; }
   verbs::ProcCtx& vctx();
@@ -327,7 +327,7 @@ class OffloadRuntime {
 
   /// Admission control: true when `tenant` may start one more offload op
   /// (inflight < TenantSpec::max_inflight, or no quota). Single-tenant
-  /// worlds always admit — no counter is touched, no state exists.
+  /// worlds always admit — no counter is touched, no quota state exists.
   bool admit(int tenant);
   /// Returns one admission slot (fired from the op's completion flag).
   void release(int tenant);
@@ -340,8 +340,9 @@ class OffloadRuntime {
   mpi::MpiWorld* mpi_ = nullptr;  ///< host fallback path (optional)
   std::vector<std::unique_ptr<OffloadEndpoint>> endpoints_;
   std::vector<std::unique_ptr<Proxy>> proxies_;
-  /// Multi-tenant state (both empty in single-tenant worlds). Stats live
-  /// behind unique_ptrs: the registry links raw Counter addresses.
+  /// One TenantStats per tenant (the implicit tenant included), behind
+  /// unique_ptrs: the registry links raw Counter addresses. Quota state
+  /// exists only in multi-tenant worlds.
   std::vector<std::unique_ptr<TenantStats>> tenant_stats_;
   std::vector<int> tenant_inflight_;
   int stripe_inflight_ = 0;  ///< currently posted chunk RDMAs (all proxies)

@@ -55,9 +55,11 @@ enum class [[nodiscard]] Status {
 /// The registry of wire-message kinds. Every struct that travels on a
 /// channel declares `static constexpr MsgKind kKind = MsgKind::k<X>;` — the
 /// tag is what makes "wire message" machine-checkable: tools/dpulint's
-/// proto-field rule demands a tenant field (unless waived) of every tagged
-/// struct. Which kinds an inbox accepts, and that each one is handled, is
-/// the compiler's job: see the inbox types at the end of this file.
+/// proto-field rule bans reference members and mutable statics in every
+/// tagged struct. No message carries a tenant: host ranks are globally
+/// unique, so receivers derive it with ClusterSpec::tenant_of_host. Which
+/// kinds an inbox accepts, and that each one is handled, is the compiler's
+/// job: see the inbox types at the end of this file.
 enum class MsgKind {
   kRtsProxy,
   kRtrProxy,
@@ -187,7 +189,6 @@ struct RtsProxyMsg {
   verbs::Completion src_flag;  ///< host-side completion counter (FIN target)
   ChunkInfo chunk;
   std::shared_ptr<ChunkCountdown> countdown;  ///< shared across the chunk-set
-  int tenant = 0;  ///< owning tenant — scopes every proxy-side key (no aliasing)
 };
 
 /// Ready-To-Receive: destination host -> the *source-side* proxy.
@@ -205,7 +206,6 @@ struct RtrProxyMsg {
   /// view of per-chunk delivery (set by the same NIC hook that marks the
   /// sender-side countdown). The FIN decision itself uses the RTS countdown.
   std::shared_ptr<ChunkCountdown> countdown;
-  int tenant = 0;
 };
 
 enum class GopType { kSend, kRecv, kBarrier };
@@ -243,7 +243,6 @@ struct ChunkWorkMsg {
   std::size_t len = 0;
   std::function<void()> on_delivered;  ///< imm/liveness hook built by the home
   verbs::Completion done;        ///< home-side completion the sibling must set
-  int tenant = 0;
 };
 
 /// Full group offload packet: host -> proxy (first call for a request).
@@ -253,7 +252,6 @@ struct GroupPacketMsg {
   std::uint64_t req_id = 0;
   std::vector<GroupEntryWire> entries;
   verbs::Completion flag;
-  int tenant = 0;
 };
 
 /// Cached re-invocation: host -> proxy (§VII-D; the host cache hit sends
@@ -263,7 +261,6 @@ struct GroupCachedCallMsg {
   int host_rank = -1;
   std::uint64_t req_id = 0;
   verbs::Completion flag;
-  int tenant = 0;
 };
 
 /// Immediate consumed by the destination-side proxy when a group send's
@@ -277,7 +274,6 @@ struct RecvArrivedMsg {
   /// complete *that* request's receive, not whichever job happens to be
   /// first with the same (src, tag) — two concurrent groups may share both.
   std::uint64_t dst_req_id = 0;
-  int tenant = 0;
 };
 
 /// Receive-readiness credit between proxies: the destination-side proxy
@@ -292,13 +288,11 @@ struct CreditMsg {
   int src_rank = -1;  ///< sending host the credit is granted to
   int dst_rank = -1;  ///< receiving host that owns the buffer
   int tag = 0;
-  int tenant = 0;
 };
 
 /// One message per destination proxy carrying all credits of one call
 /// (keeps the per-call proxy-to-proxy message count at O(proxies), not
 /// O(entries)).
-// lint: proto-field ok: pure container; each inner CreditMsg carries its tenant
 struct CreditBatchMsg {
   static constexpr MsgKind kKind = MsgKind::kCreditBatch;
   std::vector<CreditMsg> credits;
@@ -310,12 +304,10 @@ struct BarrierCntrMsg {
   int src_rank = -1;  ///< host rank whose barrier progressed
   int dst_rank = -1;  ///< host rank whose proxy should observe it
   int count = 0;
-  int tenant = 0;
 };
 
 /// Host -> proxy: Finalize_Offload. Once every host mapped to a proxy has
 /// sent one and all queues drained, the proxy's progress loop exits.
-// lint: proto-field ok: host_rank is globally unique; the proxy derives the tenant
 struct StopMsg {
   static constexpr MsgKind kKind = MsgKind::kStop;
   int host_rank = -1;
@@ -323,7 +315,6 @@ struct StopMsg {
 
 /// Host -> proxy: drop cached cross-registrations of a buffer (cache
 /// coherence when the host re-purposes memory).
-// lint: proto-field ok: cache keys are (host_rank, addr); ranks are global
 struct InvalidateMsg {
   static constexpr MsgKind kKind = MsgKind::kInvalidate;
   int host_rank = -1;
@@ -345,7 +336,6 @@ struct GroupMetaMsg {
   int from_rank = -1;  ///< the receiving host that owns these buffers
   std::uint64_t req_id = 0;  ///< the receiver's request these buffers belong to
   std::vector<GroupRecvMeta> entries;
-  int tenant = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -356,7 +346,6 @@ struct GroupMetaMsg {
 /// Host -> proxy liveness probe. The proxy answers from its *progress loop*
 /// (not the transport): a hung-but-alive proxy still generates transport
 /// acks, so only an application-level reply proves serviceability.
-// lint: proto-field ok: liveness plane probes a proxy, not a tenant's job
 struct HeartbeatMsg {
   static constexpr MsgKind kKind = MsgKind::kHeartbeat;
   int from_rank = -1;
@@ -364,7 +353,6 @@ struct HeartbeatMsg {
 };
 
 /// Proxy -> host heartbeat reply; `seq` echoes the probe (host-side RTT).
-// lint: proto-field ok: liveness plane reply; scoped by (proxy, seq) only
 struct HeartbeatAckMsg {
   static constexpr MsgKind kKind = MsgKind::kHeartbeatAck;
   int proxy = -1;
@@ -373,7 +361,6 @@ struct HeartbeatAckMsg {
 
 /// Proxy -> host acknowledgement of StopMsg, liveness runs only: lets
 /// Finalize_Offload bound its drain instead of trusting a dead proxy.
-// lint: proto-field ok: liveness plane ack; the host matches it by proxy id
 struct StopAckMsg {
   static constexpr MsgKind kKind = MsgKind::kStopAck;
   int proxy = -1;
@@ -383,7 +370,6 @@ struct StopAckMsg {
 /// (src, dst, tag) — the hosts completed it on the fallback path. Sent
 /// best-effort (the target is presumed dead; if it recovers from a hang the
 /// fence stops it from re-executing the failed-over pair).
-// lint: proto-field ok: fences by (src, dst, tag); ranks are globally unique
 struct FenceBasicMsg {
   static constexpr MsgKind kKind = MsgKind::kFenceBasic;
   int src_rank = -1;
@@ -399,7 +385,6 @@ struct FenceGroupMsg {
   static constexpr MsgKind kKind = MsgKind::kFenceGroup;
   int host_rank = -1;
   std::uint64_t req_id = 0;
-  int tenant = 0;
 };
 
 /// Host -> host death certificate + degradation notice. `dead_proxy` lets
@@ -411,7 +396,6 @@ struct FenceGroupMsg {
 /// concerns: the sender's own request id plus the dst_req_id of every send
 /// entry aimed at the destination, so the receiver degrades exactly the
 /// affected requests (no over-degrading of unrelated concurrent groups).
-// lint: proto-field ok: host-to-host notice scoped by receiver-side req_ids
 struct DegradeMsg {
   static constexpr MsgKind kKind = MsgKind::kDegrade;
   int from_rank = -1;
@@ -427,7 +411,6 @@ struct DegradeMsg {
 /// of RecvArrivedMsg this gives both ends an identical, delivery-time view
 /// of which transfers happened, which is what makes the fallback replay
 /// skip-sets agree on the two sides.
-// lint: proto-field ok: proxy-to-source-host report keyed by the sender's req_id
 struct SendDeliveredMsg {
   static constexpr MsgKind kKind = MsgKind::kSendDelivered;
   std::uint64_t req_id = 0;

@@ -37,9 +37,8 @@ Proxy::Proxy(OffloadRuntime& rt, int proc_id)
     reg.link(prefix + "hb_replies", &hb_replies_);
     reg.link(prefix + "fenced_jobs", &fenced_jobs_);
   }
-  if (rt_.spec().multi_tenant()) {
-    tenant_service_.assign(static_cast<std::size_t>(rt_.spec().num_tenants()), 0);
-  }
+  tenant_service_.assign(static_cast<std::size_t>(rt_.spec().num_tenants()), 0);
+  tenant_cursor_.assign(tenant_service_.size(), 0);
 }
 
 void Proxy::inject_crash() {
@@ -69,7 +68,7 @@ sim::Task<void> Proxy::charge_entry() {
 }
 
 std::uint64_t Proxy::template_runs(int host_rank, std::uint64_t req_id) const {
-  auto it = templates_.find({rt_.spec().tenant_of_host(host_rank), host_rank, req_id});
+  auto it = templates_.find({host_rank, req_id});
   if (it == templates_.end() || !it->second) return 0;
   return static_cast<std::uint64_t>(it->second->runs);
 }
@@ -77,16 +76,13 @@ std::uint64_t Proxy::template_runs(int host_rank, std::uint64_t req_id) const {
 std::size_t Proxy::host_state_entries(int host_rank) const {
   std::size_t n = 0;
   for (const auto& [key, tmpl] : templates_) {
-    if (std::get<1>(key) == host_rank) ++n;
-  }
-  for (const auto& [key, cnt] : barrier_counters_) {
-    if (key.second == host_rank) ++n;
+    if (key.first == host_rank) ++n;
   }
   for (const auto& [key, cr] : credits_) {
-    if (std::get<1>(key) == host_rank || std::get<2>(key) == host_rank) ++n;
+    if (std::get<0>(key) == host_rank || std::get<1>(key) == host_rank) ++n;
   }
   for (const auto& key : fenced_) {
-    if (std::get<1>(key) == host_rank) ++n;
+    if (key.first == host_rank) ++n;
   }
   if (dup_filter_.has_sender(host_rank)) ++n;
   return n;
@@ -103,11 +99,11 @@ int Proxy::mapped_hosts() const {
 int Proxy::expected_stops() const {
   const auto& spec = rt_.spec();
   if (!spec.cost.stripe_enabled()) return mapped_hosts();
-  if (!spec.multi_tenant()) return spec.host_procs_per_node;
   // Striping delegates chunk work only within a tenant's own worker set
   // (fault-domain isolation), so only hosts of tenants this worker serves
-  // ever send it a stop. Counting every node host — the single-tenant rule —
-  // would deadlock the loop waiting on stops that never come.
+  // ever send it a stop; counting every node host would deadlock the loop
+  // waiting on stops that never come. A single-tenant world's implicit
+  // tenant is served by every worker, so there every node host counts.
   const int node = (proc_ - spec.total_host_ranks()) / spec.proxies_per_dpu;
   int n = 0;
   for (int i = 0; i < spec.host_procs_per_node; ++i) {
@@ -121,20 +117,17 @@ void Proxy::prune_host_state(int host_rank) {
   // Finalize_Offload hygiene on a pooled proxy: everything still keyed to
   // the departing host goes now, so the next job (same tenant or another)
   // starts against clean state instead of inheriting stale templates,
-  // barrier counts, credits, fences, or a dup-filter seq window.
+  // credits, fences, or a dup-filter seq window.
   for (auto it = templates_.begin(); it != templates_.end();) {
-    it = std::get<1>(it->first) == host_rank ? templates_.erase(it) : std::next(it);
-  }
-  for (auto it = barrier_counters_.begin(); it != barrier_counters_.end();) {
-    it = it->first.second == host_rank ? barrier_counters_.erase(it) : std::next(it);
+    it = it->first.first == host_rank ? templates_.erase(it) : std::next(it);
   }
   for (auto it = credits_.begin(); it != credits_.end();) {
-    it = (std::get<1>(it->first) == host_rank || std::get<2>(it->first) == host_rank)
+    it = (std::get<0>(it->first) == host_rank || std::get<1>(it->first) == host_rank)
              ? credits_.erase(it)
              : std::next(it);
   }
   for (auto it = fenced_.begin(); it != fenced_.end();) {
-    it = std::get<1>(*it) == host_rank ? fenced_.erase(it) : std::next(it);
+    it = it->first == host_rank ? fenced_.erase(it) : std::next(it);
   }
   dup_filter_.erase_sender(host_rank);
 }
@@ -247,7 +240,7 @@ void Proxy::on(FenceGroupMsg& fg, SimTime) {
   if (auto* chk = rt_.engine().checker()) {
     chk->on_fence_group(proc_, fg.host_rank, fg.req_id);
   }
-  fenced_.insert({fg.tenant, fg.host_rank, fg.req_id});
+  fenced_.insert({fg.host_rank, fg.req_id});
   ++fenced_jobs_;
   for (auto it = jobs_.begin(); it != jobs_.end();) {
     if ((*it)->host_rank == fg.host_rank && (*it)->req_id == fg.req_id) {
@@ -315,18 +308,18 @@ void Proxy::on(GroupPacketMsg& pkt, SimTime at) {
   auto tmpl = std::make_shared<JobTemplate>();
   tmpl->entries = std::move(pkt.entries);
   tmpl->mkey2.assign(tmpl->entries.size(), 0);
-  auto& slot = templates_[{pkt.tenant, pkt.host_rank, pkt.req_id}];
+  auto& slot = templates_[{pkt.host_rank, pkt.req_id}];
   // A re-recorded request (host cache disabled or invalidated) is still
   // the same request: its run count — and with it the credit gating of
   // every run after the first — must survive the template swap.
   if (slot) tmpl->runs = slot->runs;
   slot = std::move(tmpl);
-  start_instance(pkt.tenant, pkt.host_rank, pkt.req_id, pkt.flag, at);
+  start_instance(pkt.host_rank, pkt.req_id, pkt.flag, at);
 }
 
 void Proxy::on(GroupCachedCallMsg& cc, SimTime at) {
   ++tmpl_hits_;
-  start_instance(cc.tenant, cc.host_rank, cc.req_id, cc.flag, at);
+  start_instance(cc.host_rank, cc.req_id, cc.flag, at);
 }
 
 void Proxy::on(RecvArrivedMsg& arr, SimTime) {
@@ -335,13 +328,14 @@ void Proxy::on(RecvArrivedMsg& arr, SimTime) {
 
 void Proxy::on(CreditBatchMsg& cb, SimTime) {
   for (const auto& cr : cb.credits) {
-    ++credits_[{cr.tenant, cr.src_rank, cr.dst_rank, cr.tag}];
+    ++credits_[{cr.src_rank, cr.dst_rank, cr.tag}];
   }
 }
 
-void Proxy::on(BarrierCntrMsg& bc, SimTime) {
-  auto& slot = barrier_counters_[{bc.tenant, bc.src_rank}];
-  slot = std::max(slot, bc.count);
+void Proxy::on(BarrierCntrMsg&, SimTime) {
+  // Fig. 10's barrier-counter write: modelled for its wire and CPU cost
+  // (counted in barrier_cntr_msgs at the sender). Receive readiness rides
+  // the credits and the arrival immediates, so nothing reads the count.
 }
 
 void Proxy::on(StopMsg& stop, SimTime) {
@@ -367,7 +361,7 @@ void Proxy::on(InvalidateMsg& inv, SimTime) {
   // every cached template of that host.
   (void)gvmi_cache_.evict(inv.host_rank, inv.addr, inv.len);
   for (auto& [key, tmpl] : templates_) {
-    if (std::get<1>(key) != inv.host_rank) continue;
+    if (key.first != inv.host_rank) continue;
     for (std::size_t i = 0; i < tmpl->entries.size(); ++i) {
       const auto& e = tmpl->entries[i];
       if (e.type == GopType::kSend && e.src_addr == inv.addr && e.len == inv.len) {
@@ -377,14 +371,14 @@ void Proxy::on(InvalidateMsg& inv, SimTime) {
   }
 }
 
-void Proxy::start_instance(int tenant, int host_rank, std::uint64_t req_id,
-                           verbs::Completion flag, SimTime arrived_at) {
-  auto it = templates_.find({tenant, host_rank, req_id});
+void Proxy::start_instance(int host_rank, std::uint64_t req_id, verbs::Completion flag,
+                           SimTime arrived_at) {
+  auto it = templates_.find({host_rank, req_id});
   sim_expect(it != templates_.end(), "cached group call for unknown request");
   auto job = std::make_unique<JobInstance>();
   job->host_rank = host_rank;
   job->req_id = req_id;
-  job->tenant = tenant;
+  job->tenant = rt_.spec().tenant_of_host(host_rank);
   job->tmpl = it->second;
   job->state.assign(job->tmpl->entries.size(), JobEntryState{});
   job->sends_done = std::make_shared<std::size_t>(0);
@@ -426,7 +420,7 @@ bool Proxy::match_arrival(const RecvArrivedMsg& a) {
   // swallow its arrivals (consumed, never re-queued) so a late or duplicate
   // delivery from a recovering peer proxy cannot resurrect the job. Keyed
   // by dst_req_id, the same identity the PR-2 matching fix introduced.
-  if (!fenced_.empty() && fenced_.count({a.tenant, a.dst_rank, a.dst_req_id}) > 0) {
+  if (!fenced_.empty() && fenced_.count({a.dst_rank, a.dst_req_id}) > 0) {
     if (auto* chk = rt_.engine().checker()) {
       chk->on_fenced_arrival(proc_, a.dst_rank, a.dst_req_id);
     }
@@ -556,9 +550,7 @@ sim::Task<bool> Proxy::harvest_fins() {
     co_await retx_.flag_write(fin.src_rank, fin.src_flag, fin.src_rank);
     co_await retx_.flag_write(fin.dst_rank, fin.dst_flag, fin.dst_rank);
     ++basic_done_;
-    if (rt_.spec().multi_tenant()) {
-      ++rt_.tenant_stats(rt_.spec().tenant_of_host(fin.src_rank)).pairs_completed;
-    }
+    ++rt_.tenant_stats(rt_.spec().tenant_of_host(fin.src_rank)).pairs_completed;
   }
   co_return moved;
 }
@@ -572,7 +564,7 @@ std::function<void()> Proxy::make_group_send_hook(const JobInstance& job,
   // its carrier has no hardware retry of its own.
   std::function<void()> imm_hook = retx_.make_hook(
       dst_proxy, kProxyInbox,
-      RecvArrivedMsg{job.host_rank, e.peer, e.tag, e.dst_req_id, job.tenant});
+      RecvArrivedMsg{job.host_rank, e.peer, e.tag, e.dst_req_id});
   if (rt_.spec().fault.liveness_enabled()) {
     // Liveness runs also notify BOTH hosts at delivery time (NIC events, so
     // they fire even if this proxy has died by then): the receiver learns
@@ -581,7 +573,7 @@ std::function<void()> Proxy::make_group_send_hook(const JobInstance& job,
     // delivery event, the two ends' failover skip-sets always agree — the
     // property that makes the host replay free of duplicate delivery.
     auto* pctx = &vctx();
-    const RecvArrivedMsg arr{job.host_rank, e.peer, e.tag, e.dst_req_id, job.tenant};
+    const RecvArrivedMsg arr{job.host_rank, e.peer, e.tag, e.dst_req_id};
     const SendDeliveredMsg sd{job.req_id, e.peer, e.tag};
     const int src_host = job.host_rank;
     const int dst_host = e.peer;
@@ -615,7 +607,6 @@ sim::Task<void> Proxy::post_group_send(JobInstance& job, std::size_t idx) {
     w.dst_rkey = e.dst_rkey;
     w.dst_addr = e.dst_addr;
     w.len = e.len;
-    w.tenant = job.tenant;
     w.on_delivered = make_group_send_hook(job, e);
     auto done = std::make_shared<sim::Event>(rt_.engine());
     done->subscribe([counter = job.sends_done] { ++*counter; });
@@ -665,7 +656,7 @@ sim::Task<bool> Proxy::advance_one(JobInstance& job) {
       // Receive-readiness flow control (re-calls only): block until the
       // destination proxy granted a credit for this (src, dst, tag).
       if (job.needs_credits) {
-        auto cit = credits_.find({job.tenant, job.host_rank, e.peer, e.tag});
+        auto cit = credits_.find({job.host_rank, e.peer, e.tag});
         if (cit == credits_.end() || cit->second == 0) {
           ++credit_gated_;
           break;
@@ -697,7 +688,7 @@ sim::Task<bool> Proxy::advance_one(JobInstance& job) {
       if (!job.send_rank_set.empty()) {
         ++job.num_barriers;
         for (int dst : job.send_rank_set) {
-          ProxyCtrl bc = BarrierCntrMsg{job.host_rank, dst, job.num_barriers, job.tenant};
+          ProxyCtrl bc = BarrierCntrMsg{job.host_rank, dst, job.num_barriers};
           co_await retx_.send(rt_.spec().proxy_for_host(dst), kProxyInbox, std::move(bc), 0);
           ++barrier_msgs_;
         }
@@ -748,7 +739,7 @@ sim::Task<void> Proxy::grant_credits(const JobInstance& job) {
   for (const auto& e : job.tmpl->entries) {
     if (e.type != GopType::kRecv) continue;
     batches[rt_.spec().proxy_for_host(e.peer)].credits.push_back(
-        CreditMsg{e.peer, job.host_rank, e.tag, job.tenant});
+        CreditMsg{e.peer, job.host_rank, e.tag});
   }
   for (auto& [proxy, batch] : batches) {
     const auto bytes = batch.credits.size() * 12;
@@ -770,49 +761,32 @@ bool Proxy::dwfq_before(const JobInstance& a, const JobInstance& b) const {
 }
 
 sim::Task<bool> Proxy::advance_jobs() {
-  bool moved = false;
-  if (!rt_.spec().multi_tenant()) {
-    // Single-tenant fast path: the seed's in-order sweep, byte-identical.
-    // Index-based for the same reason as harvest_fins: advance_one and
-    // grant_credits suspend, and start_instance may push into jobs_ while
-    // this coroutine is parked — an iterator would not survive that.
-    for (std::size_t i = 0; i < jobs_.size();) {
-      if (co_await advance_one(*jobs_[i])) moved = true;
-      if (jobs_[i]->fin_sent) {
-        auto job = std::move(jobs_[i]);
-        jobs_.erase(jobs_.begin() + static_cast<std::ptrdiff_t>(i));
-        co_await grant_credits(*job);
-      } else {
-        ++i;
-      }
-    }
-    co_return moved;
-  }
   // Deficit-weighted fair queueing: each sweep visits every live job once,
-  // but in the order (normalized tenant service, arrived_at, host, req) —
-  // the tenant furthest below its weighted share always advances first, so
-  // one tenant's deep backlog cannot starve another's fresh calls. The order
-  // is a pure function of simulated state (no wall clock, no RNG): the
-  // 8-seed tie-shuffle matrix pins it, and advance_digest_ exposes it.
-  std::set<std::pair<int, std::uint64_t>> visited;  // (host, req) — ptrs may die
+  // in the order (normalized tenant service, arrived_at, host, req) — the
+  // tenant furthest below its weighted share always advances first, so one
+  // tenant's deep backlog cannot starve another's fresh calls. A tenant's
+  // jobs share one service count, so among them that order is jobs_ order,
+  // and each pick only ranks every tenant's first unvisited job (its cursor
+  // into jobs_). With one tenant this is the plain in-order sweep. Nothing
+  // else touches jobs_ while the sweep runs: start_instance and the fence
+  // handler run from run(), which is suspended in here. The order is a pure
+  // function of simulated state (no wall clock, no RNG): the 8-seed
+  // tie-shuffle matrix pins it, and advance_digest_ exposes it.
+  bool moved = false;
+  std::fill(tenant_cursor_.begin(), tenant_cursor_.end(), 0);
   for (;;) {
     std::size_t best = jobs_.size();
-    for (std::size_t i = 0; i < jobs_.size(); ++i) {
-      if (visited.count({jobs_[i]->host_rank, jobs_[i]->req_id}) > 0) continue;
+    for (std::size_t t = 0; t < tenant_cursor_.size(); ++t) {
+      std::size_t& i = tenant_cursor_[t];
+      while (i < jobs_.size() && jobs_[i]->tenant != static_cast<int>(t)) ++i;
+      if (i == jobs_.size()) continue;
       if (best == jobs_.size() || dwfq_before(*jobs_[i], *jobs_[best])) best = i;
     }
     if (best == jobs_.size()) break;
-    const std::pair<int, std::uint64_t> key{jobs_[best]->host_rank, jobs_[best]->req_id};
-    visited.insert(key);
-    // The JobInstance lives behind a unique_ptr: inserts into jobs_ during
-    // the suspension below move the pointers, not the object. Only this
-    // sweep (and a fence, which cannot run while we are mid-advance on the
-    // same coroutine chain) erases instances.
     JobInstance& job = *jobs_[best];
     const int tenant = job.tenant;
     const std::size_t cursor_before = job.next;
-    const bool advanced = co_await advance_one(job);
-    if (advanced) {
+    if (co_await advance_one(job)) {
       moved = true;
       // Service charge: template entries the pick got through (min 1 — a
       // pick that only fired the FIN still consumed the proxy).
@@ -820,23 +794,22 @@ sim::Task<bool> Proxy::advance_jobs() {
       if (charge == 0) charge = 1;
       tenant_service_[static_cast<std::size_t>(tenant)] += charge;
       rt_.tenant_stats(tenant).entries_advanced += charge;
-      for (std::uint64_t v :
-           {static_cast<std::uint64_t>(tenant), static_cast<std::uint64_t>(key.first),
-            key.second, charge}) {
+      for (std::uint64_t v : {static_cast<std::uint64_t>(tenant),
+                              static_cast<std::uint64_t>(job.host_rank), job.req_id, charge}) {
         advance_digest_ = (advance_digest_ ^ v) * 1099511628211ull;
       }
     }
-    // Re-find by key: the suspension may have shifted indices.
-    for (std::size_t i = 0; i < jobs_.size(); ++i) {
-      if (jobs_[i]->host_rank != key.first || jobs_[i]->req_id != key.second) continue;
-      if (jobs_[i]->fin_sent) {
-        auto done = std::move(jobs_[i]);
-        jobs_.erase(jobs_.begin() + static_cast<std::ptrdiff_t>(i));
-        ++rt_.tenant_stats(tenant).jobs_completed;
-        co_await grant_credits(*done);
-      }
-      break;
+    if (!job.fin_sent) {
+      ++tenant_cursor_[static_cast<std::size_t>(tenant)];
+      continue;
     }
+    auto done = std::move(jobs_[best]);
+    jobs_.erase(jobs_.begin() + static_cast<std::ptrdiff_t>(best));
+    for (std::size_t& i : tenant_cursor_) {
+      if (i > best) --i;
+    }
+    ++rt_.tenant_stats(tenant).jobs_completed;
+    co_await grant_credits(*done);
   }
   co_return moved;
 }

@@ -82,13 +82,13 @@ class Proxy {
   /// that is what keeps re-call credit gating armed across re-records.
   std::uint64_t template_runs(int host_rank, std::uint64_t req_id) const;
   const MatchQueues& queues() const { return queues_; }
-  /// Entries of per-host proxy state (templates, barrier counters, credits,
-  /// fences, dup-filter sender window) still keyed to `host_rank`. Must be 0
-  /// after the host's Finalize_Offload — the pooled-proxy leak this PR fixes.
+  /// Entries of per-host proxy state (templates, credits, fences, dup-filter
+  /// sender window) still keyed to `host_rank`. Must be 0 after the host's
+  /// Finalize_Offload, or a pooled proxy leaks state per finished job.
   std::size_t host_state_entries(int host_rank) const;
-  /// FNV-1a digest of the multi-tenant fair-queue advance order: folded per
-  /// pick that made progress, (tenant, host, req, entries). Single-tenant
-  /// runs never touch it. Tests pin its tie-shuffle invariance.
+  /// FNV-1a digest of the fair-queue advance order: folded per pick that
+  /// made progress, (tenant, host, req, entries). Tests pin its tie-shuffle
+  /// invariance.
   std::uint64_t advance_order_digest() const { return advance_digest_; }
 
  private:
@@ -111,7 +111,7 @@ class Proxy {
   struct JobInstance {
     int host_rank = -1;
     std::uint64_t req_id = 0;
-    int tenant = 0;  ///< owning tenant (scopes keys + fair-queue accounting)
+    int tenant = 0;  ///< tenant_of_host(host_rank): fair-queue accounting
     /// Delivery time of the call message that started this instance. Jobs
     /// are kept sorted by (arrived_at, host_rank, req_id): real arrival
     /// order is preserved, but two calls landing at the same instant get a
@@ -184,8 +184,8 @@ class Proxy {
   sim::Task<bool> advance_one(JobInstance& job);
   sim::Task<void> post_group_send(JobInstance& job, std::size_t idx);
   std::function<void()> make_group_send_hook(const JobInstance& job, const GroupEntryWire& e);
-  void start_instance(int tenant, int host_rank, std::uint64_t req_id,
-                      verbs::Completion flag, SimTime arrived_at);
+  void start_instance(int host_rank, std::uint64_t req_id, verbs::Completion flag,
+                      SimTime arrived_at);
   int expected_stops() const;
   void prune_host_state(int host_rank);
   /// True when job `a` should advance before job `b` under deficit-weighted
@@ -211,15 +211,14 @@ class Proxy {
   std::deque<BasicPair> combined_;
   std::deque<ChunkWorkMsg> chunk_work_;  ///< delegated group segments (striping)
   std::vector<FinPending> fins_;
-  /// Templates keyed (tenant, host, req): the tenant component makes
-  /// cross-job aliasing structurally impossible on a pooled proxy.
-  std::map<std::tuple<int, int, std::uint64_t>, std::shared_ptr<JobTemplate>> templates_;
+  /// Templates keyed (host, req). Host ranks are unique across tenants, so
+  /// two tenants' jobs never alias on a pooled proxy.
+  std::map<std::pair<int, std::uint64_t>, std::shared_ptr<JobTemplate>> templates_;
   std::vector<std::unique_ptr<JobInstance>> jobs_;
   std::deque<RecvArrivedMsg> pending_arrivals_;
   std::optional<Reply> reply_;
-  std::map<std::pair<int, int>, int> barrier_counters_;  // (tenant, host) -> count
-  /// (tenant, src host, dst host, tag) -> receive-readiness credits.
-  std::map<std::tuple<int, int, int, int>, int> credits_;
+  /// (src host, dst host, tag) -> receive-readiness credits.
+  std::map<std::tuple<int, int, int>, int> credits_;
 
   int stops_received_ = 0;
   bool crashed_ = false;
@@ -229,12 +228,14 @@ class Proxy {
   /// that sender: once the dup-filter window is pruned, a late-delayed
   /// duplicate would otherwise be re-accepted as fresh.
   std::set<int> finalized_hosts_;
-  /// (tenant, host, req_id) group jobs the hosts completed on the fallback
-  /// path; any live instance is dropped and their arrivals swallowed.
-  std::set<std::tuple<int, int, std::uint64_t>> fenced_;
-  /// Per-tenant service accumulated by the fair queue (entries advanced);
-  /// empty in single-tenant worlds.
+  /// (host, req_id) group jobs the hosts completed on the fallback path;
+  /// any live instance is dropped and their arrivals swallowed.
+  std::set<std::pair<int, std::uint64_t>> fenced_;
+  /// Per-tenant service accumulated by the fair queue (entries advanced).
   std::vector<std::uint64_t> tenant_service_;
+  /// Per-tenant index into jobs_ of the tenant's next unvisited job; only
+  /// meaningful during an advance_jobs sweep.
+  std::vector<std::size_t> tenant_cursor_;
   std::uint64_t advance_digest_ = 1469598103934665603ull;  ///< FNV-1a basis
   metrics::Counter hb_replies_;
   metrics::Counter fenced_jobs_;

@@ -6,14 +6,14 @@
 
 namespace fixture {
 
-// std::mutex, rand(), new EvNode(), -7777: none of this is code.
+// std::mutex, rand(), post_ctrl_raw(), -7777: none of this is code.
 /* Block comments hide srand(1); and #include <thread> just as well,
    even across lines. */
 
 void string_negatives() {
   const char* a = "std::mutex inside a string literal";
   const char* b = "// not a comment, and rand() is not a call";
-  const char* c = "/* not a block comment: new EvNode() */";
+  const char* c = "/* not a block comment: post_ctrl_raw() */";
   const char* d = "escaped \" quote then srand(9)";
   const char* e = R"(raw string with "quotes" and std::thread inside)";
   const char* f = R"delim(rand() behind a custom )" delimiter)delim";

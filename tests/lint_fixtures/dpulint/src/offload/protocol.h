@@ -11,42 +11,25 @@ enum class [[nodiscard]] Status { kOk, kDegraded };
 
 enum class MsgKind {
   kPing,
-  kPong,
-  kBadTenant,
-  kWaivedTenant,
+  kBadMember,
 };
 
-/// Fully conforming wire message: tagged and tenant-scoped.
+/// Fully conforming wire message: tagged, plain by-value members.
 struct PingMsg {
   static constexpr MsgKind kKind = MsgKind::kPing;
   int src_rank = -1;
-  int tenant = 0;
 };
 
-/// Planted: tagged wire message with no tenant field and no waiver.
-struct PongMsg {  // expect: proto-field
-  static constexpr MsgKind kKind = MsgKind::kPong;
-  int dst_rank = -1;
-};
-
-/// Planted: wrong tenant declaration shape, an aliasing reference member,
-/// and a mutable static member — three distinct proto-field findings.
-struct BadTenantMsg {
-  static constexpr MsgKind kKind = MsgKind::kBadTenant;
-  long tenant = 0;  // expect: proto-field
+/// Planted: an aliasing reference member and a mutable static member — two
+/// distinct proto-field findings.
+struct BadMemberMsg {
+  static constexpr MsgKind kKind = MsgKind::kBadMember;
   int& aliased;  // expect: proto-field
   static int live_count;  // expect: proto-field
 };
 
-/// Waived: structurally tenant-free, with the reason on record.
-// lint: proto-field ok: fixture message keyed by globally unique rank
-struct WaivedTenantMsg {
-  static constexpr MsgKind kKind = MsgKind::kWaivedTenant;
-  int host_rank = -1;
-};
-
 /// Untagged helper struct: not a wire message, exempt from proto-field
-/// even though it has no tenant and holds a reference.
+/// even though it holds a reference.
 struct ScratchState {
   int slots = 0;
   int& scratch_ref;

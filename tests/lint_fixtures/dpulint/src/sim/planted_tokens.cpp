@@ -40,17 +40,6 @@ void thread_plants() {
   std::condition_variable cv;
 }
 
-void ev_alloc_plants(EvNode* stale_ev_node) {
-  auto* n = new EvNode();  // expect: ev-alloc
-  auto* s = new sim::SlabNode(7);  // expect: ev-alloc
-  delete stale_ev_node;  // expect: ev-alloc
-  // lint: ev-alloc ok: fixture demonstrating a waived slab allocation
-  auto* w = new EvNode();
-  // Unrelated allocations stay clean.
-  auto* v = new std::vector<int>();
-  delete v;
-}
-
 void raw_post_plants(Transport& tp) {
   tp.post_ctrl_raw(1, 2);  // expect: raw-post
   // lint: raw-post ok: fixture demonstrating a waived raw post

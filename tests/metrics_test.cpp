@@ -268,6 +268,42 @@ TEST(Metrics, BoundedRegCachesEvictAndExportEvictionCounters) {
   EXPECT_GE(w.metrics().counter_value("mpi.rank1.reg_cache.evictions"), 2u);
 }
 
+TEST(Metrics, EveryGatedLinkFamilyLinksOneSlotPerName) {
+  // MetricsRegistry::link throws when a name is linked to a second slot, and
+  // every link site runs while World is constructed. One world with every
+  // knob-gated family armed therefore proves no two sites share a name.
+  machine::ClusterSpec s;
+  s.nodes = 2;
+  s.host_procs_per_node = 2;
+  s.proxies_per_dpu = 2;
+  for (int t = 0; t < 2; ++t) {
+    machine::TenantSpec ts;
+    ts.ranks = {t, t + 2};
+    s.tenants.push_back(ts);
+  }
+  s.cost.stripe_threshold = 32_KiB;
+  s.fault.enabled = true;
+  s.fault.liveness = true;
+  s.cost.reg_cache_capacity = 1;
+  World w(s);
+  const std::string js = w.metrics_json();
+  for (const char* name : {
+           "engine.events_executed",               // always
+           "fabric.node1.messages_tx",             // always
+           "mpi.rank3.reg_cache.evictions",        // reg_cache_capacity
+           "offload.host3.gvmi_cache.evictions",   // reg_cache_capacity
+           "offload.proxy7.gvmi_cache.evictions",  // reg_cache_capacity
+           "offload.tenant1.entries_advanced",     // tenants
+           "offload.host0.bytes_striped",          // stripe_threshold
+           "offload.proxy5.chunks_moved",          // stripe_threshold
+           "fault.drops",                          // fault.enabled
+           "offload.host1.hb_sent",                // fault.liveness
+           "offload.proxy6.fenced_jobs",           // fault.liveness
+       }) {
+    EXPECT_NE(js.find('"' + std::string(name) + '"'), std::string::npos) << name;
+  }
+}
+
 // ---- Determinism regression --------------------------------------------------
 
 struct RunFingerprint {

@@ -6,7 +6,7 @@
 
 #include <set>
 #include <string>
-#include <type_traits>
+#include <variant>
 
 #include "offload/match_queues.h"
 
@@ -124,17 +124,17 @@ static_assert(FenceGroupMsg::kKind == MsgKind::kFenceGroup);
 static_assert(DegradeMsg::kKind == MsgKind::kDegrade);
 static_assert(SendDeliveredMsg::kKind == MsgKind::kSendDelivered);
 
-// Tenant fields are plain ints defaulting to tenant 0 so single-tenant runs
-// need no plumbing.
-static_assert(std::is_same_v<decltype(RtsProxyMsg::tenant), int>);
-static_assert(std::is_same_v<decltype(GroupPacketMsg::tenant), int>);
-static_assert(std::is_same_v<decltype(FenceGroupMsg::tenant), int>);
-
-TEST(WireRegistryTest, TenantDefaultsToZero) {
-  EXPECT_EQ(RtsProxyMsg{}.tenant, 0);
-  EXPECT_EQ(RecvArrivedMsg{}.tenant, 0);
-  EXPECT_EQ(GroupMetaMsg{}.tenant, 0);
-}
+// No wire message carries a tenant: host ranks are unique across tenants,
+// so every receiver derives it with ClusterSpec::tenant_of_host.
+template <class T>
+concept CarriesTenant = requires(T m) { m.tenant; };
+template <class V>
+inline constexpr bool kNoneCarryTenant = false;
+template <class... Ks>
+inline constexpr bool kNoneCarryTenant<std::variant<Ks...>> = (!CarriesTenant<Ks> && ...);
+static_assert(kNoneCarryTenant<ProxyCtrl> && kNoneCarryTenant<ProxyLive> &&
+              kNoneCarryTenant<HostLive> && !CarriesTenant<GroupMetaMsg> &&
+              !CarriesTenant<CreditMsg>);
 
 TEST(WireRegistryTest, KindNamesAreUniqueAndNamed) {
   std::set<std::string> names;

@@ -12,6 +12,16 @@
 namespace dpu::sim {
 namespace {
 
+// Event nodes live by value in the engine's heap and calendar slab. Their
+// types are private, so no code outside the engine can allocate or free
+// one: the compiler, not a lint rule, keeps nodes off the heap.
+template <class E>
+concept NamesEvNode = requires { typename E::EvNode; };
+template <class E>
+concept NamesCalendarQueue = requires { typename E::CalendarQueue; };
+static_assert(!NamesEvNode<Engine>);
+static_assert(!NamesCalendarQueue<Engine>);
+
 TEST(Engine, StartsAtTimeZero) {
   Engine eng;
   EXPECT_EQ(eng.now(), 0u);

@@ -357,6 +357,39 @@ TEST(TenantIsolation, ConcurrentDegradesUseDisjointFallbackContexts) {
   EXPECT_GE(w.metrics().counter_value("offload.tenant1.ops_degraded"), 1u);
 }
 
+TEST(TenantIsolation, GroupSpanningTwoTenantsFailsTheRun) {
+  // Rank sets are disjoint, so a group whose peers sit in another tenant is
+  // a mis-specified application. The receiver's metadata names its rank,
+  // and the sender rejects it by that rank's tenant.
+  auto s = tenant_spec(1, 4, 1, {{0, 1}, {2, 3}});
+  World w(s);
+  const std::size_t len = 4_KiB;
+  w.launch(0, [len](Rank& r) -> sim::Task<void> {
+    const auto buf = r.mem().alloc(len);
+    auto g = r.off->group_start();
+    r.off->group_send(g, buf, len, 2, 5);
+    r.off->group_end(g);
+    co_await r.off->group_call(g);
+    (void)co_await r.off->group_wait(g);
+  });
+  w.launch(2, [len](Rank& r) -> sim::Task<void> {
+    const auto buf = r.mem().alloc(len);
+    auto g = r.off->group_start();
+    r.off->group_recv(g, buf, len, 0, 5);
+    r.off->group_end(g);
+    co_await r.off->group_call(g);
+    (void)co_await r.off->group_wait(g);
+  });
+  try {
+    w.run();
+    FAIL() << "expected SimError";
+  } catch (const SimError& e) {
+    EXPECT_NE(std::string(e.what()).find("group metadata crossed a tenant boundary"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Tentpole: deficit-weighted fair queue — deterministic advance order
 // ---------------------------------------------------------------------------
@@ -403,11 +436,11 @@ std::uint64_t run_fair_queue_world(std::uint64_t tie_seed) {
 TEST(TenantFairQueue, AdvanceOrderDigestInvariantAcrossTieShuffles) {
   // Seed 0 is the legacy FIFO tie order; seeds 1..7 permute same-time event
   // dispatch. The fair queue's pick order must not depend on those ties:
-  // identical digest across all 8 seeds.
-  const std::uint64_t base = run_fair_queue_world(0);
-  EXPECT_NE(base, 1469598103934665603ull);  // the queue actually folded picks
-  for (std::uint64_t seed = 1; seed < 8; ++seed) {
-    EXPECT_EQ(run_fair_queue_world(seed), base) << "tie seed " << seed;
+  // the same digest across all 8 seeds. The value itself is pinned too: an
+  // advance loop that dropped the 3:1 weighting and served by arrival alone
+  // would also be tie-invariant, but folds 0x4664a1e4cb7f9003.
+  for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    EXPECT_EQ(run_fair_queue_world(seed), 0x84d4963b8dacf103ull) << "tie seed " << seed;
   }
 }
 

@@ -3,7 +3,6 @@
 // catalogue; tools/dpulint/rules.cc documents each rule's exact semantics.
 #pragma once
 
-#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -35,9 +34,6 @@ struct WireStruct {
   std::string name;
   int line = 0;       // struct declaration line
   std::string enumerator;
-  bool has_tenant = false;
-  bool tenant_ok = false;       // exactly `int tenant = 0;`
-  int tenant_line = 0;
   std::vector<int> ref_member_lines;     // reference members alias state
   std::vector<int> static_member_lines;  // mutable statics are cross-instance
 };
@@ -49,15 +45,6 @@ struct Index {
   // ---- protocol registry (src/offload/protocol.h) -------------------------
   std::vector<WireStruct> wire_structs;
   const FileUnit* protocol_file = nullptr;
-
-  // ---- metric registry links across src/ ----------------------------------
-  struct LinkSite {
-    std::string name;
-    bool prefixed = false;  // `prefix + "literal"` (runtime-scoped name)
-    const FileUnit* file = nullptr;
-    int line = 0;
-  };
-  std::vector<LinkSite> metric_links;
 
   // ---- await-status symbol tables -----------------------------------------
   /// Method names with at least one `Task<...Status>`-returning declaration.

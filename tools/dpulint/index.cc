@@ -35,15 +35,6 @@ std::size_t match_angle_back(const std::vector<Token>& t, std::size_t p) {
   return std::string::npos;
 }
 
-std::size_t match_paren_fwd(const std::vector<Token>& t, std::size_t open) {
-  int depth = 0;
-  for (std::size_t i = open; i < t.size(); ++i) {
-    if (is_punct(t[i], "(")) ++depth;
-    else if (is_punct(t[i], ")") && --depth == 0) return i;
-  }
-  return std::string::npos;
-}
-
 /// Extracts the wire-struct registry from the protocol header (real tree or
 /// self-test fixture tree).
 void scan_protocol(const FileUnit& f, Index& idx) {
@@ -101,21 +92,6 @@ void scan_protocol(const FileUnit& f, Index& idx) {
         } else if (is_static && !has_constexpr_or_const) {
           ws.static_member_lines.push_back(first.line);
         }
-        // Declarator name: last identifier before '=' (or last overall).
-        std::size_t name_pos = std::string::npos;
-        for (std::size_t ri : run) {
-          if (is_punct(t[ri], "=")) break;
-          if (is_ident(t[ri])) name_pos = ri;
-        }
-        if (name_pos != std::string::npos && t[name_pos].text == "tenant") {
-          ws.has_tenant = true;
-          ws.tenant_line = t[name_pos].line;
-          ws.tenant_ok = run.size() >= 4 && is_ident(t[run[0]]) &&
-                         t[run[0]].text == "int" && run[1] == name_pos &&
-                         is_punct(t[run[2]], "=") &&
-                         t[run[3]].kind == Tok::kNumber &&
-                         t[run[3]].text == "0";
-        }
         run.clear();
       }
       idx.wire_structs.push_back(std::move(ws));
@@ -123,36 +99,12 @@ void scan_protocol(const FileUnit& f, Index& idx) {
   }
 }
 
-/// First symbol pass over one file: metric links and declaration sites of
-/// (possibly) Status-returning methods.
+/// First symbol pass over one file: declaration sites of (possibly)
+/// Status-returning methods.
 void scan_symbols(const FileUnit& f, Index& idx,
                   std::set<std::string>& nonstatus_decls) {
   const auto& t = f.lx.tokens;
-  bool in_src = f.top == "src";
   for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-    // reg.link("name", ...) / reg.link(prefix + "name", ...)
-    if (in_src && is_ident(t[i]) && t[i].text == "link" && i > 0 &&
-        (is_punct(t[i - 1], ".") || is_punct(t[i - 1], "->")) &&
-        is_punct(t[i + 1], "(")) {
-      int depth = 0;
-      bool plus = false;
-      std::string name;
-      bool saw_string = false;
-      for (std::size_t k = i + 1; k < t.size(); ++k) {
-        if (is_punct(t[k], "(") || is_punct(t[k], "[")) ++depth;
-        else if (is_punct(t[k], ")") || is_punct(t[k], "]")) {
-          if (--depth == 0) break;
-        } else if (depth == 1 && is_punct(t[k], ",")) break;
-        else if (depth == 1 && is_punct(t[k], "+")) plus = true;
-        else if (depth == 1 && t[k].kind == Tok::kString) {
-          name += t[k].text;
-          saw_string = true;
-        }
-      }
-      if (saw_string)
-        idx.metric_links.push_back(Index::LinkSite{name, plus, &f, t[i].line});
-    }
-
     // Declaration-like NAME( sites, to build status/ambiguous method sets.
     if (is_ident(t[i + 1]) && i + 2 < t.size() && is_punct(t[i + 2], "(")) {
       const std::string& name = t[i + 1].text;
@@ -267,10 +219,6 @@ void scan_status_vars(const FileUnit& f, Index& idx) {
 }
 
 }  // namespace
-
-std::size_t match_paren_forward(const std::vector<Token>& t, std::size_t open) {
-  return match_paren_fwd(t, open);
-}
 
 bool waived(const FileUnit& f, int line, const std::string& rule) {
   const std::string tag = "lint: " + rule + " ok:";

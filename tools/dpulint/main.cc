@@ -192,8 +192,7 @@ int main(int argc, char** argv) {
       for (const auto& ws : idx.wire_structs)
         if (!ws.enumerator.empty()) ++tagged;
       std::cout << "dpulint: OK (" << idx.files.size() << " files, " << tagged
-                << " wire messages, " << idx.metric_links.size()
-                << " metric links)\n";
+                << " wire messages)\n";
     }
     else
       std::cout << "dpulint: " << findings.size() << " finding"

@@ -1,8 +1,8 @@
-// The rule catalogue. Token rules (wall-clock, raw-post, ev-alloc, thread,
+// The rule catalogue. Token rules (wall-clock, raw-post, thread,
 // fallback-ctx, nodiscard) run on the token stream, so string/comment false
 // positives are structurally impossible. The cross-file rules (proto-field,
-// layer-dag, await-status, repo-wide metric-dup) need the symbol index and
-// are the reason this tool exists — no single-line regex can express them.
+// layer-dag, await-status) need the symbol index and are the reason this
+// tool exists — no single-line regex can express them.
 #include <algorithm>
 #include <cctype>
 #include <map>
@@ -12,8 +12,6 @@
 #include "analyzer.h"
 
 namespace dpulint {
-
-std::size_t match_paren_forward(const std::vector<Token>& t, std::size_t open);
 
 namespace {
 
@@ -32,12 +30,6 @@ std::size_t match_paren_back(const std::vector<Token>& t, std::size_t close) {
     else if (is_punct(t[i], "(") && --depth == 0) return i;
   }
   return std::string::npos;
-}
-
-bool contains_ci(std::string s, const char* needle) {
-  std::transform(s.begin(), s.end(), s.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  return s.find(needle) != std::string::npos;
 }
 
 /// Layering levels: a layer may include itself and any strictly lower
@@ -140,46 +132,6 @@ void token_rules(Ctx& c, const FileUnit& f) {
       c.add(f, tok.line, "raw-post",
             "raw control-plane post outside verbs/reliable needs a "
             "'// lint: raw-post ok: <reason>' comment");
-
-    // ---- ev-alloc (src only) ------------------------------------------------
-    if (in_src && is_ident(tok, "new")) {
-      std::size_t j = i + 1;
-      if (j < t.size() && is_punct(t[j], "(")) {  // placement form
-        std::size_t close = match_paren_forward(t, j);
-        if (close != std::string::npos) j = close + 1;
-      }
-      while (j < t.size() && (is_ident(t[j]) || is_punct(t[j], "::"))) {
-        if (is_ident(t[j]) &&
-            (t[j].text == "EvNode" || t[j].text == "SlabNode")) {
-          c.add(f, tok.line, "ev-alloc",
-                "raw heap allocation of an engine event node: nodes live by "
-                "value in the calendar slab / event heap; add "
-                "'// lint: ev-alloc ok: <reason>' if truly needed");
-          break;
-        }
-        ++j;
-      }
-    }
-    if (in_src && is_ident(tok, "delete")) {
-      for (std::size_t j = i + 1; j < t.size(); ++j) {
-        if (is_ident(t[j])) {
-          if (contains_ci(t[j].text, "evnode") ||
-              contains_ci(t[j].text, "ev_node") ||
-              contains_ci(t[j].text, "slabnode") ||
-              contains_ci(t[j].text, "slab_node")) {
-            c.add(f, tok.line, "ev-alloc",
-                  "raw delete of an engine event node: nodes live by value "
-                  "in the calendar slab / event heap; add "
-                  "'// lint: ev-alloc ok: <reason>' if truly needed");
-            break;
-          }
-        } else if (!is_punct(t[j], ".") && !is_punct(t[j], "->") &&
-                   !is_punct(t[j], "::") && !is_punct(t[j], "[") &&
-                   !is_punct(t[j], "]")) {
-          break;
-        }
-      }
-    }
 
     // ---- thread (everywhere) -----------------------------------------------
     if (is_ident(tok) && thread_prim(tok.text) && std_qual)
@@ -339,52 +291,12 @@ void layer_dag(Ctx& c, const FileUnit& f) {
 // Cross-file rules over the index.
 // ---------------------------------------------------------------------------
 
-void metric_dup(Ctx& c) {
-  // Per-file: the same literal linked twice in one file is the classic
-  // copy-paste (throws at runtime, but only on the path that executes it).
-  std::map<std::pair<const FileUnit*, std::string>, int> per_file;
-  // Repo-wide: only fully-literal names — `prefix + ".retries"` is scoped
-  // by a runtime prefix and may legitimately repeat across files.
-  std::map<std::string, const Index::LinkSite*> global;
-  for (const auto& site : c.idx.metric_links) {
-    auto [it, fresh] =
-        per_file.try_emplace({site.file, site.name}, site.line);
-    if (!fresh) {
-      c.add(*site.file, site.line, "metric-dup",
-            "metric literal '" + site.name + "' already linked at " +
-                site.file->rel + ":" + std::to_string(it->second));
-      continue;
-    }
-    if (site.prefixed) continue;
-    auto [git, gfresh] = global.try_emplace(site.name, &site);
-    if (!gfresh && git->second->file != site.file)
-      c.add(*site.file, site.line, "metric-dup",
-            "metric literal '" + site.name + "' already linked at " +
-                git->second->file->rel + ":" +
-                std::to_string(git->second->line) +
-                " (registry names are global; the second link throws at "
-                "runtime)");
-  }
-}
-
 void proto_field(Ctx& c) {
   const Index& idx = c.idx;
   if (!idx.protocol_file) return;
   const FileUnit& pf = *idx.protocol_file;
   for (const WireStruct& ws : idx.wire_structs) {
     if (ws.enumerator.empty()) continue;  // not a wire message (no kKind tag)
-    if (!ws.has_tenant)
-      c.add(pf, ws.line, "proto-field",
-            "wire message '" + ws.name +
-                "' lacks an `int tenant = 0;` field: every proxy-side key "
-                "must be tenant-scoped (PR-7 cross-tenant aliasing); if the "
-                "message is structurally tenant-free, say why with "
-                "'// lint: proto-field ok: <reason>'");
-    else if (!ws.tenant_ok)
-      c.add(pf, ws.tenant_line, "proto-field",
-            "wire message '" + ws.name +
-                "' must declare its tenant exactly as `int tenant = 0;` "
-                "(by-value int, default-initialized to tenant 0)");
     for (int line : ws.ref_member_lines)
       c.add(pf, line, "proto-field",
             "wire message '" + ws.name +
@@ -395,7 +307,7 @@ void proto_field(Ctx& c) {
       c.add(pf, line, "proto-field",
             "wire message '" + ws.name +
                 "' has a mutable static member: statics are shared across "
-                "instances and therefore across tenants");
+                "instances, so one message's state leaks into every other");
   }
 }
 
@@ -409,7 +321,6 @@ std::vector<Finding> run_rules(const Index& idx) {
     await_status(c, f);
     layer_dag(c, f);
   }
-  metric_dup(c);
   proto_field(c);
   std::sort(out.begin(), out.end(), [](const Finding& a, const Finding& b) {
     return std::tie(a.file, a.line, a.rule, a.message) <
